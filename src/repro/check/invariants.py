@@ -14,6 +14,9 @@ The three relationships, straight from the paper:
 * **pregion vs TLB residency** (section 6.2): every cached translation
   for a live address space must agree with what a page-table walk finds
   *now* — a stale entry after an munmap/shrink means a missed shootdown.
+* **pregion index** (section 6.2): each private and shared pregion
+  list's sorted lookup view matches the list, and its members are
+  disjoint — the premise of a one-candidate bisect.
 * **fd refcounts** (section 6.3): an open file's reference count equals
   the descriptor slots naming it across all live processes plus the one
   reference each share group's ``s_ofile`` copy holds.
@@ -148,6 +151,27 @@ def check_tlb_asid_index(sim) -> List[str]:
 
 
 # ----------------------------------------------------------------------
+# pregion list sorted-view coherence
+
+def check_pregion_index(sim) -> List[str]:
+    """Every live pregion list's sorted view mirrors the list itself.
+
+    Covers each live process's private list and each live group's
+    shared list: the view is the list sorted by ``vbase``, every member
+    names the list as its ``owner``, and consecutive members are
+    disjoint.  The view exists in both ``vm_index`` modes
+    (``check_overlap`` bisects it even under the linear ablation).
+    """
+    lists = [("pid %d private" % proc.pid, proc.vm.private)
+             for proc in _live_procs(sim)]
+    lists.extend(("shaddr sgid=%d shared" % block.sgid, block.shared_vm.pregions)
+                 for block in _live_blocks(sim))
+    return ["%s: %s" % (where, error)
+            for where, pregions in lists
+            for error in pregions.index_errors()]
+
+
+# ----------------------------------------------------------------------
 # fd table refcounts
 
 def check_fd_refcounts(sim) -> List[str]:
@@ -238,6 +262,7 @@ CHECKERS = {
     "shaddr-refcounts": check_shaddr_refcounts,
     "pregion-tlb": check_pregion_tlb,
     "tlb-asid-index": check_tlb_asid_index,
+    "pregion-index": check_pregion_index,
     "fd-refcounts": check_fd_refcounts,
     "shmask-consistency": check_shmask_consistency,
 }

@@ -155,7 +155,7 @@ class AddressSpace:
                 yield pregion, True
 
     def find(self, vaddr: int) -> Tuple[Optional[Pregion], bool]:
-        if getattr(self.machine, "vm_index", "indexed") == "linear":
+        if self.machine.vm_index == "linear":
             return self._find_linear(vaddr)
         return self._find_indexed(vaddr)
 
@@ -201,11 +201,22 @@ class AddressSpace:
         return None, False
 
     def check_overlap(self, vlow: int, vhigh: int) -> None:
-        for pregion, _shared in self.iter_pregions():
-            if pregion.overlaps(vlow, vhigh):
-                raise SimulationError(
-                    "mapping %#x..%#x overlaps %r" % (vlow, vhigh, pregion)
-                )
+        """Raise if ``[vlow, vhigh)`` overlaps any visible pregion.
+
+        One bisect per list in both ``vm_index`` modes: it charges no
+        simulated cycles, so the ablation has nothing to measure here.
+        """
+        pregion = self._private.overlapping(vlow, vhigh)
+        if pregion is None and self.shared is not None:
+            pregion = self.shared.pregions.overlapping(vlow, vhigh)
+        if pregion is not None:
+            raise SimulationError(
+                "mapping %#x..%#x overlaps %r" % (vlow, vhigh, pregion)
+            )
+
+    def shadowed(self, pregion: Pregion) -> bool:
+        """Does a private pregion hide (part of) this shared one?"""
+        return self._private.overlapping(pregion.vlow, pregion.vhigh) is not None
 
     def attach_private(self, pregion: Pregion, allow_shadow: bool = False) -> Pregion:
         """Attach to the private list.
@@ -216,11 +227,11 @@ class AddressSpace:
         works — the enhancement the paper's section 6.2 anticipates.
         """
         if allow_shadow:
-            for existing in self.private:
-                if existing.overlaps(pregion.vlow, pregion.vhigh):
-                    raise SimulationError(
-                        "shadow mapping overlaps private %r" % existing
-                    )
+            existing = self._private.overlapping(pregion.vlow, pregion.vhigh)
+            if existing is not None:
+                raise SimulationError(
+                    "shadow mapping overlaps private %r" % existing
+                )
         else:
             self.check_overlap(pregion.vlow, pregion.vhigh)
         self.private.append(pregion)
@@ -278,7 +289,7 @@ class AddressSpace:
         The candidate must be the nearest DOWN-growing pregion above the
         address, and the gap must be within its growth ceiling.
         """
-        if getattr(self.machine, "vm_index", "indexed") == "linear":
+        if self.machine.vm_index == "linear":
             best: Optional[Tuple[Pregion, bool]] = None
             for pregion, shared in self.iter_pregions():
                 if pregion.growth is not Growth.DOWN:
@@ -400,7 +411,9 @@ class AddressSpace:
 
     def dup_cow(self) -> "AddressSpace":
         """Fork-style duplicate: every visible pregion becomes a private
-        copy-on-write attachment in the child.
+        copy-on-write attachment in the child.  A shared pregion that a
+        private one shadows (``PR_PRIVDATA``) is not visible, so the
+        child gets the parent's private copy and not the group's.
 
         Matches the paper: a ``fork()`` (or non-VM-sharing ``sproc()``)
         from a share group member *"leaves any visible stack or other
@@ -422,7 +435,9 @@ class AddressSpace:
             self.shared._next_map_base if self.shared is not None
             else self._next_map_base
         )
-        for pregion, _shared in self.iter_pregions():
+        for pregion, shared in self.iter_pregions():
+            if shared and self.shadowed(pregion):
+                continue
             clone_region = pregion.region.dup_cow()
             clone = Pregion(
                 clone_region, pregion.vbase, pregion.prot,
@@ -430,16 +445,6 @@ class AddressSpace:
             )
             child.private.append(clone)
         return child
-
-    def cow_pages_made(self) -> int:
-        """Resident pages currently marked COW (for cost accounting)."""
-        return sum(
-            sum(1 for flag in pregion.region.cow if flag)
-            for pregion, _ in self.iter_pregions()
-        )
-
-    def total_pages(self) -> int:
-        return sum(pregion.region.npages for pregion, _ in self.iter_pregions())
 
     def teardown_private(self) -> None:
         """Detach every private pregion (process exit / exec)."""

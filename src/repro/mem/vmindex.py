@@ -6,19 +6,24 @@ stack-growth probe.  :class:`PregionList` keeps the authoritative list
 semantics (it *is* a list, so every existing ``append``/``remove``/``in``
 call site keeps working) and adds a bisectable view sorted by ``vlow``.
 
-Coherence follows a generation protocol rather than incremental index
-maintenance: every mutation that can change lookup results — attach,
-detach, growth that moves a base address — bumps ``generation``, and the
-next lookup rebuilds the sorted view when it notices the mismatch.  All
+The view is always current: ``append`` inserts at the bisect position,
+``remove`` deletes at it, and :meth:`Pregion.grow_down_to` — the only
+mutation that moves a ``vlow`` — re-keys its one pregion through the
+owner backref.  Upward growth and shrinking leave ``vlow`` alone, so
+they never touch the index.  Each edit is O(log n) comparisons plus one
+C-level memmove.  Edits must be cheap because they are not rare: a
+share-group churn workload (``sproc``, ``mmap``/``munmap``, exited
+members' stacks kept on a ~160-entry shared list) attaches or detaches
+about 1.2 pregions per lookup (docs/INTERNALS.md section 12).  All
 mutators run under the share group's update lock (or own the space
-outright), so a reader under the read lock never observes a half-built
-index.  Faults vastly outnumber list edits, which makes the occasional
-O(n log n) rebuild a good trade for O(log n) lookups.
+outright), so a reader under the read lock never sees a half-edited view.
 
 Within one list pregions never overlap (private may shadow *shared*, but
 that is a cross-list affair resolved by private-first lookup order), so
 a binary search on ``vlow`` has exactly one containment candidate: the
-rightmost pregion starting at or below the address.
+rightmost pregion starting at or below the address.  The same argument
+gives :meth:`PregionList.overlapping` one candidate: the rightmost
+pregion starting below the range's end.
 
 Each pregion also records the list that currently holds it (``owner``),
 which lets :meth:`AddressSpace.detach` drop it in a single pass instead
@@ -27,6 +32,7 @@ of probing every list with ``in`` first.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import List, Optional
 
 from repro.mem.pregion import Growth, Pregion
@@ -41,18 +47,19 @@ class PregionList(list):
     and never charges simulated cycles.
     """
 
-    __slots__ = ("generation", "_built", "_starts", "_order",
-                 "_down_starts", "_down")
+    __slots__ = ("_starts", "_order", "_down_starts", "_down")
 
     def __init__(self, iterable=()):
         list.__init__(self, iterable)
-        #: bumped by every mutation; lookups rebuild when it moves
-        self.generation = 0
-        self._built = -1
-        self._starts: List[int] = []
-        self._order: List[Pregion] = []
-        self._down_starts: List[int] = []
-        self._down: List[Pregion] = []
+        order = sorted(self, key=lambda pregion: pregion.vbase)
+        #: the members sorted by ``vlow``, and their ``vlow`` keys
+        self._order: List[Pregion] = order
+        self._starts: List[int] = [pregion.vbase for pregion in order]
+        #: the same view restricted to DOWN-growing members (stacks)
+        self._down: List[Pregion] = [
+            pregion for pregion in order if pregion.growth is Growth.DOWN
+        ]
+        self._down_starts: List[int] = [pregion.vbase for pregion in self._down]
         for pregion in self:
             pregion.owner = self
 
@@ -62,28 +69,46 @@ class PregionList(list):
     def append(self, pregion: Pregion) -> None:
         list.append(self, pregion)
         pregion.owner = self
-        self.generation += 1
+        for starts, order in self._views(pregion):
+            self._index(starts, order, pregion)
 
     def remove(self, pregion: Pregion) -> None:
         list.remove(self, pregion)
         pregion.owner = None
-        self.generation += 1
+        for starts, order in self._views(pregion):
+            self._unindex(starts, order, pregion, pregion.vbase)
 
-    def invalidate(self) -> None:
-        """Force a rebuild (a member's base address moved)."""
-        self.generation += 1
+    def rekey(self, pregion: Pregion, old_vlow: int) -> None:
+        """Re-sort a member whose ``vlow`` moved from ``old_vlow``."""
+        for starts, order in self._views(pregion):
+            self._unindex(starts, order, pregion, old_vlow)
+            self._index(starts, order, pregion)
+
+    def _views(self, pregion: Pregion):
+        """The sorted views ``pregion`` belongs in."""
+        yield self._starts, self._order
+        if pregion.growth is Growth.DOWN:
+            yield self._down_starts, self._down
+
+    @staticmethod
+    def _index(starts: List[int], order: List[Pregion], pregion: Pregion) -> None:
+        pos = bisect_right(starts, pregion.vbase)
+        starts.insert(pos, pregion.vbase)
+        order.insert(pos, pregion)
+
+    @staticmethod
+    def _unindex(starts: List[int], order: List[Pregion], pregion: Pregion,
+                 vlow: int) -> None:
+        # Equal keys are rare (only an empty pregion can tie), so the
+        # identity walk from the leftmost one is short.
+        pos = bisect_left(starts, vlow)
+        while order[pos] is not pregion:
+            pos += 1
+        del starts[pos]
+        del order[pos]
 
     # ------------------------------------------------------------------
     # the index
-
-    def _rebuild(self) -> None:
-        order = sorted(self, key=lambda pregion: pregion.vlow)
-        self._order = order
-        self._starts = [pregion.vlow for pregion in order]
-        down = [p for p in order if p.growth is Growth.DOWN]
-        self._down = down
-        self._down_starts = [pregion.vlow for pregion in down]
-        self._built = self.generation
 
     @staticmethod
     def _bisect_right(starts: List[int], value: int):
@@ -100,8 +125,6 @@ class PregionList(list):
 
     def lookup(self, vaddr: int):
         """The pregion containing ``vaddr`` (or None), plus bisect steps."""
-        if self._built != self.generation:
-            self._rebuild()
         pos, steps = self._bisect_right(self._starts, vaddr)
         if pos:
             candidate = self._order[pos - 1]
@@ -116,20 +139,51 @@ class PregionList(list):
         Returns ``(pregion_or_None, steps)`` — the stack-growth probe's
         replacement for scanning the whole list per SEGV check.
         """
-        if self._built != self.generation:
-            self._rebuild()
         pos, steps = self._bisect_right(self._down_starts, vaddr)
         if pos < len(self._down):
             return self._down[pos], steps + 1
         return None, steps
 
-    def index_snapshot(self) -> List[Pregion]:
-        """The sorted view (rebuilding if stale) — for tests/invariants."""
-        if self._built != self.generation:
-            self._rebuild()
-        return list(self._order)
+    def overlapping(self, vlow: int, vhigh: int) -> Optional[Pregion]:
+        """A member overlapping ``[vlow, vhigh)``, or None.
 
+        Members are disjoint, so the rightmost one starting below
+        ``vhigh`` also ends last: it overlaps iff any member does.
+        Charges nothing and counts nothing — attach-time only.
+        """
+        pos = bisect_left(self._starts, vhigh)
+        if pos:
+            candidate = self._order[pos - 1]
+            if candidate.vhigh > vlow:
+                return candidate
+        return None
 
-def owning_list(pregion: Pregion) -> Optional[PregionList]:
-    """The list currently holding ``pregion``, or None when detached."""
-    return pregion.owner
+    def index_errors(self) -> List[str]:
+        """Ways the sorted views disagree with the list (invariant).
+
+        Empty when the view holds exactly the members, sorted by
+        ``vbase`` under their current keys (and the DOWN view exactly
+        the stacks), every member's ``owner`` is this list, and
+        consecutive members are disjoint.
+        """
+        errors = []
+        stacks = [pregion for pregion in self if pregion.growth is Growth.DOWN]
+        for name, members, starts, order in (
+            ("sorted view", self, self._starts, self._order),
+            ("stack view", stacks, self._down_starts, self._down),
+        ):
+            if sorted(map(id, order)) != sorted(map(id, members)):
+                errors.append("%s %r holds other pregions than the list"
+                              % (name, order))
+            if starts != [pregion.vbase for pregion in order]:
+                errors.append("%s keys %s are not its members' vbases"
+                              % (name, [hex(start) for start in starts]))
+            if starts != sorted(starts):
+                errors.append("%s %r is not sorted by vbase" % (name, order))
+        for pregion in self:
+            if pregion.owner is not self:
+                errors.append("%r: owner is not the list holding it" % pregion)
+        for lower, upper in zip(self._order, self._order[1:]):
+            if lower.vhigh > upper.vlow:
+                errors.append("%r overlaps %r" % (lower, upper))
+        return errors

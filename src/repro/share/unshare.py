@@ -111,11 +111,10 @@ def copy_out_aspace(kernel, proc, staged):
     vm._next_stack_index = shared._next_stack_index
     vm._next_map_base = shared._next_map_base
     staged["vm"] = vm
-    privates = list(proc.vm.private)
     costs = kernel.costs
     copied = 0
     for pregion in list(shared.pregions):
-        if any(p.overlaps(pregion.vlow, pregion.vhigh) for p in privates):
+        if proc.vm.shadowed(pregion):
             continue
         if kernel.fail("unshare.pregion"):
             raise SysError(ENOMEM, "injected: pregion copy-out")

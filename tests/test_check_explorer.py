@@ -13,11 +13,14 @@ from repro.check import __main__ as check_cli
 from repro.check.explore import explore, run_once
 from repro.check.invariants import (
     check_fd_refcounts,
+    check_pregion_index,
     check_pregion_tlb,
     check_shaddr_refcounts,
     run_invariants,
 )
 from repro.check.scenarios import DEFAULT_SCENARIOS, SCENARIOS, Scenario
+from repro.mem.frames import PAGE_SIZE
+from repro.mem.pregion import Growth
 from repro.system import System
 
 
@@ -64,6 +67,21 @@ def test_stale_tlb_entry_detected():
     sim.machine.cpus[0].tlb.insert(asid, 0x7FF99, 4242, writable=False)
     findings = check_pregion_tlb(sim)
     assert findings and "stale entry" in findings[0]
+
+
+def test_stale_pregion_index_detected():
+    sim = _partial_fd_churn()
+    block = next(
+        proc.shaddr
+        for proc in sim.kernel.proc_table.all_procs()
+        if proc.alive() and proc.shaddr is not None
+    )
+    stack = next(p for p in block.shared_vm.pregions if p.growth is Growth.DOWN)
+    stack.vbase -= PAGE_SIZE  # a stack growth that skipped its re-key
+    findings = check_pregion_index(sim)
+    assert findings and "shared" in findings[0] and "keys" in findings[0]
+    stack.vbase += PAGE_SIZE
+    assert check_pregion_index(sim) == []
 
 
 def test_fd_refcount_leak_detected():

@@ -3,6 +3,7 @@ selective region sharing, exec-keeping-the-group, group priority,
 gang scheduling hint, stop-sharing, plus the /dev devices and alarm().
 """
 
+import pytest
 
 from repro import (
     O_CREAT,
@@ -110,6 +111,34 @@ def test_privdata_not_implied_by_pr_sall():
 
     out, _ = run_program(main)
     assert out["shared_write"] == 999
+
+
+@pytest.mark.parametrize("vm_index", ["indexed", "linear"])
+def test_fork_from_privdata_member_copies_its_private_data(vm_index):
+    """fork copies the image the parent *sees*: a PR_PRIVDATA member's
+    private data shadow, never the group's data underneath it."""
+
+    def grandchild(api, ctx):
+        addr, out = ctx
+        out["fork_child_saw"] = yield from api.load_word(addr)
+        return 0
+
+    def member(api, ctx):
+        addr, _out = ctx
+        yield from api.store_word(addr, 222)
+        yield from api.fork(grandchild, ctx)
+        yield from api.wait()
+        return 0
+
+    def main(api, out):
+        addr = _data_addr(api)
+        yield from api.store_word(addr, 111)
+        yield from api.sproc(member, PR_SALL | PR_PRIVDATA, (addr, out))
+        yield from api.wait()
+        return 0
+
+    out, _ = run_program(main, vm_index=vm_index)
+    assert out["fork_child_saw"] == 222
 
 
 # ----------------------------------------------------------------------

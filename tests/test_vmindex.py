@@ -2,8 +2,11 @@
 
 The property test drives randomized attach/detach/grow/shadow sequences
 and asserts the indexed and linear lookups agree on every probe — the
-index is an optimization, never a semantic change.  The rest covers the
-one-pass detach regression, the ablation flag, and determinism.
+index is an optimization, never a semantic change — that the bisect
+``check_overlap`` agrees with a brute-force overlap scan, and that the
+sorted views stay coherent with their lists.  The rest covers stack
+growth re-keying, the one-pass detach regression, the ablation flag,
+and determinism.
 """
 
 import random
@@ -15,6 +18,7 @@ from repro.mem.addrspace import AddressSpace, SharedVM, make_region
 from repro.mem.frames import PAGE_SIZE
 from repro.mem.pregion import Growth, PROT_RW, Pregion
 from repro.mem.region import RegionType
+from repro.mem.vmindex import PregionList
 from repro.sim.machine import Machine
 from repro.system import System
 from repro import PR_SALL
@@ -62,6 +66,24 @@ def _assert_equivalent(machine, vm):
                 assert grow_idx is not None, hex(vaddr)
                 assert grow_lin[0] is grow_idx[0]
                 assert grow_lin[1] == grow_idx[1]
+
+
+def _assert_overlap_matches_brute_force(vm, rng):
+    for _ in range(8):
+        vlow = _slot_base(0) + rng.randrange(NSLOTS * SLOT_PAGES) * PAGE_SIZE
+        vhigh = vlow + rng.randint(1, 2 * SLOT_PAGES) * PAGE_SIZE
+        expect = any(p.overlaps(vlow, vhigh) for p, _ in vm.iter_pregions())
+        try:
+            vm.check_overlap(vlow, vhigh)
+        except SimulationError:
+            assert expect, "%#x..%#x" % (vlow, vhigh)
+        else:
+            assert not expect, "%#x..%#x" % (vlow, vhigh)
+
+
+def _assert_index_coherent(vm):
+    assert vm.private.index_errors() == []
+    assert vm.shared.pregions.index_errors() == []
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -129,6 +151,63 @@ def test_index_matches_linear_scan_under_random_traffic(seed):
                 if pregion.can_grow_down_to(target):
                     pregion.grow_down_to(target)
         _assert_equivalent(machine, vm)
+        _assert_overlap_matches_brute_force(vm, rng)
+        _assert_index_coherent(vm)
+
+
+def test_grown_stack_is_rekeyed_in_both_views():
+    """grow_down_to moves a stack's vlow; lookup and the growth probe
+    must find it at the new key without any rebuild."""
+    machine = Machine(ncpus=1)
+    vm = AddressSpace(machine)
+    stacks = [_make_pregion(machine, slot, Growth.DOWN) for slot in (0, 1, 2)]
+    for slot in (3, 4):
+        vm.attach_private(_make_pregion(machine, slot, Growth.NONE))
+    for stack in stacks:
+        vm.attach_private(stack)
+    middle = stacks[1]
+    old_vlow = middle.vlow
+    new_vlow = _slot_base(1) + PAGE_SIZE
+    assert middle.grow_down_to(new_vlow + 4) == (old_vlow - new_vlow) // PAGE_SIZE
+    assert middle.vlow == new_vlow
+    assert vm.private.index_errors() == []
+    for vaddr in (new_vlow, new_vlow + 4, old_vlow - 4, old_vlow):
+        assert vm.private.lookup(vaddr)[0] is middle, hex(vaddr)
+    assert vm.private.lookup(new_vlow - 4)[0] is None
+    # Below the new base, the grown stack is the nearest one above...
+    assert vm.private.nearest_down_above(new_vlow - 4)[0] is middle
+    assert vm._growable_stack(new_vlow - 4) == (middle, False)
+    # ...and at or above it, the next stack up is.
+    assert vm.private.nearest_down_above(new_vlow)[0] is stacks[2]
+    assert vm.private.nearest_down_above(stacks[0].vlow - 4)[0] is stacks[0]
+    vm.detach(middle)
+    assert vm.private.index_errors() == []
+    assert vm.private.nearest_down_above(new_vlow - 4)[0] is stacks[2]
+
+
+def test_index_errors_report_a_corrupted_list():
+    machine = Machine(ncpus=1)
+    vm = AddressSpace(machine)
+    stack = _make_pregion(machine, 1, Growth.DOWN)
+    vm.attach_private(_make_pregion(machine, 0, Growth.NONE))
+    vm.attach_private(stack)
+    assert vm.private.index_errors() == []
+    # A vlow that moves without a re-key leaves both views stale.
+    stack.vbase -= 2 * PAGE_SIZE
+    errors = vm.private.index_errors()
+    assert any("sorted view keys" in error for error in errors)
+    assert any("stack view keys" in error for error in errors)
+    stack.vbase += 2 * PAGE_SIZE
+    # A member slipped into the list behind the index's back.
+    list.append(vm.private, _make_pregion(machine, 2, Growth.NONE))
+    errors = vm.private.index_errors()
+    assert any("holds other pregions" in error for error in errors)
+    assert any("owner" in error for error in errors)
+    # Overlapping members break the one-candidate bisect.
+    overlapping = PregionList(
+        [_make_pregion(machine, 0, Growth.NONE),
+         _make_pregion(machine, 0, Growth.UP)])
+    assert any("overlaps" in error for error in overlapping.index_errors())
 
 
 def test_detach_of_unattached_raises():
