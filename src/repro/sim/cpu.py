@@ -285,12 +285,6 @@ class CPU:
         else:
             self._resume_cb(resume_value)
 
-    def _continue(self, proc, resume_value) -> None:
-        if type(resume_value) is _ContinueDelay:
-            self._user_delay(proc, resume_value.remaining)
-        else:
-            self._resume_cb(resume_value)
-
     # ------------------------------------------------------------------
     # leaving the CPU
 
@@ -316,12 +310,6 @@ class CPU:
         if kernel is not None and kernel.tracer is not None:
             kernel.trace("dispatch", proc.pid, self._label, ph="E", cpu=self.idx)
         self.dispatcher.cpu_idle(self)
-
-    # ------------------------------------------------------------------
-    # accounting
-
-    def _charge(self, cycles: int) -> None:
-        self.busy_cycles += cycles
 
 
 class _ContinueDelay:

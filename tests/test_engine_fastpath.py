@@ -19,7 +19,6 @@ from repro.errors import SimulationError
 from repro.sim.engine import (
     _INLINE_PARK_MAX,
     ENGINE_LOOP_MODES,
-    ENGINE_QUEUE_MODES,
     Engine,
     default_engine_loop,
 )
@@ -75,6 +74,23 @@ def test_run_rejects_reentry():
     eng.schedule(0, reenter)
     with pytest.raises(SimulationError):
         eng.run()
+
+
+@pytest.mark.parametrize("loop", ENGINE_LOOP_MODES)
+def test_run_until_the_past_is_rejected(loop):
+    """``run(until=u)`` with ``u < now`` would rewind the clock, so a
+    later event could fire before one that had already fired."""
+    eng = Engine(loop=loop)
+    fired = []
+    eng.schedule(100, lambda: fired.append(eng.now))
+    eng.run()
+    with pytest.raises(SimulationError):
+        eng.run(until=50)
+    assert eng.now == 100
+    eng.run(until=100)  # the present is fine
+    eng.schedule(10, lambda: fired.append(eng.now))
+    eng.run()
+    assert fired == [100, 110]
 
 
 # ----------------------------------------------------------------------
@@ -308,8 +324,8 @@ def _main(api, ctx):
     return 0
 
 
-def _fingerprint(loop, seed, queue="heap"):
-    sim = System(ncpus=3, perturb_seed=seed, engine_loop=loop, engine_queue=queue)
+def _fingerprint(loop, seed):
+    sim = System(ncpus=3, perturb_seed=seed, engine_loop=loop)
     tracer = Tracer.attach(sim.kernel, capacity=100_000)
     sim.spawn(_main, {})
     sim.run()
@@ -320,13 +336,8 @@ def _fingerprint(loop, seed, queue="heap"):
 
 
 @pytest.mark.parametrize("seed", [None, 0, 3])
-def test_all_loop_queue_combos_are_cycle_identical(seed):
-    """{fast, naive} x {heap, wheel}: one fingerprint, four mechanisms."""
+def test_fast_and_naive_loops_are_cycle_identical(seed):
+    """{fast, naive}: one fingerprint, two mechanisms."""
     assert set(ENGINE_LOOP_MODES) == {"fast", "naive"}
-    assert set(ENGINE_QUEUE_MODES) == {"heap", "wheel"}
-    prints = {
-        (loop, queue): _fingerprint(loop, seed, queue)
-        for loop in ENGINE_LOOP_MODES
-        for queue in ENGINE_QUEUE_MODES
-    }
+    prints = {loop: _fingerprint(loop, seed) for loop in ENGINE_LOOP_MODES}
     assert len(set(prints.values())) == 1, prints
