@@ -14,10 +14,12 @@ seeds (sharded across ``--jobs`` host processes), attaches a bootstrap
 confidence interval to every metric (stored under ``"stats"`` in the
 BENCH json, gated on CI overlap by benchmarks/compare_bench.py), and
 requires the paper claims to hold under *every* seed, not just the
-default schedule.  ``--profile`` arms the host-side self-profiler and
-writes the per-phase breakdown plus ``sim_cycles_per_host_sec`` to
-BENCH_HOST.json.  ``--trend PATH`` appends this run's summary to a
-BENCH_TREND.json so the perf trajectory accumulates across PRs.
+default schedule.  ``--profile`` samples the host profiler
+(:mod:`repro.obs.profile`) and writes the per-layer host-time table plus
+``sim_cycles_per_host_sec`` to BENCH_HOST.json.  ``--trend PATH``
+appends this run's summary to a BENCH_TREND.json so the perf trajectory
+accumulates across PRs; with ``--profile`` each entry carries that
+experiment's own host numbers, its seed sweep included.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def main(argv) -> int:
                         help="host processes for the seed sweep "
                              "(default: min(seeds, cpu_count))")
     parser.add_argument("--profile", action="store_true",
-                        help="arm the host self-profiler; write "
+                        help="sample the host profiler; write "
                              "BENCH_HOST.json")
     parser.add_argument("--trend", metavar="PATH",
                         help="append results to the BENCH_TREND.json "
@@ -94,11 +96,10 @@ def main(argv) -> int:
         print("available: %s" % ", ".join(ALL_EXPERIMENTS))
         return 2
 
-    from repro.obs import profile as profile_mod
+    from repro.obs.profile import profiling
 
-    session = profile_mod.begin_session() if args.profile else None
     failures = 0
-    try:
+    with profiling(args.profile) as session:
         for eid in chosen:
             import inspect
 
@@ -107,20 +108,25 @@ def main(argv) -> int:
             if (args.scale is not None
                     and "scale" in inspect.signature(func).parameters):
                 kwargs["scale"] = args.scale
-            result = func(**kwargs)
-            sweep = None
-            if args.seeds > 0:
-                from repro.bench.stats import run_sweep
+            # one nested session per experiment: its trend entry gets
+            # this experiment's numbers, the outer one the whole run's
+            with profiling(args.profile) as experiment:
+                result = func(**kwargs)
+                sweep = None
+                if args.seeds > 0:
+                    from repro.bench.stats import run_sweep
 
-                sweep = run_sweep(
-                    eid, nseeds=args.seeds, jobs=args.jobs,
-                    profiled=args.profile, **kwargs,
-                )
-                result.stats = sweep.stats()
-                if session is not None:
-                    for run in sweep.runs:
-                        if run.get("host"):
-                            session.absorb(run["host"])
+                    sweep = run_sweep(
+                        eid, nseeds=args.seeds, jobs=args.jobs,
+                        profiled=args.profile, **kwargs,
+                    )
+                    result.stats = sweep.stats()
+                    if experiment is not None:
+                        experiment.absorb(sweep.host_summary())
+            host = experiment.summary() if experiment is not None else None
+            if session is not None:
+                session.absorb(host)
+            if sweep is not None:
                 print(sweep.render())
                 failures += len(sweep.failed_claims)
             result.save()
@@ -129,18 +135,10 @@ def main(argv) -> int:
             if args.trend:
                 from repro.bench.stats import append_trend, trend_entry
 
-                # per-experiment host numbers come from that sweep's
-                # shards; the whole-run summary lands in BENCH_HOST.json
-                host = sweep.host_summary() if sweep is not None else None
-                if host is None and session is not None:
-                    host = session.merged()
                 append_trend(args.trend, trend_entry(eid, sweep, host))
-    finally:
-        profile_mod.end_session()
 
     if session is not None:
-        summary = session.merged()
-        path = _write_host_json(summary)
+        path = _write_host_json(session.summary())
         print(session.render())
         print("host profile written to %s" % path)
 

@@ -140,25 +140,24 @@ def _sweep_worker(job):
     eid, seed, profiled, kwargs = job
     import gc
 
-    from repro.obs import profile as profile_mod
+    from repro.obs.profile import profiling
 
     # Same host-side tuning as the CLI entry point: sweep shards are
     # short-lived, and collector pauses would pollute the profiled wall
     # time they report.
     gc.disable()
 
-    session = profile_mod.begin_session() if profiled else None
-    try:
+    # a nested session: in-process (jobs=1) the caller's session stays
+    # open around it and takes this shard's numbers only by absorbing
+    # the payload
+    with profiling(profiled) as session:
         result = run_experiment(eid, seed=seed, **kwargs)
-    finally:
-        profile_mod.end_session()
     failed = [c.description for c in result.claims if not c.holds]
-    host = session.merged() if session is not None else None
     return {
         "seed": seed,
         "metrics": extract_metrics(result),
         "failed_claims": failed,
-        "host": host,
+        "host": session.summary() if session is not None else None,
     }
 
 
@@ -217,7 +216,7 @@ class SweepResult:
             if run.get("host"):
                 session.absorb(run["host"])
                 found = True
-        return session.merged() if found else None
+        return session.summary() if found else None
 
     def render(self, alpha: float = DEFAULT_ALPHA) -> str:
         """The CI table: one line per (row, metric)."""

@@ -37,6 +37,7 @@ from repro.check.explore import explore, run_once
 from repro.check.inject import SWEEP_SCENARIOS, run_injected, sweep
 from repro.check.scenarios import DEFAULT_SCENARIOS, SCENARIOS
 from repro.inject import SITES
+from repro.obs.profile import profiling
 from repro.sim.engine import PERTURB_FEATURES
 
 
@@ -102,8 +103,8 @@ def _parse_args(argv) -> argparse.Namespace:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="arm the host self-profiler; print the per-phase host-time "
-        "breakdown after the run",
+        help="sample the host profiler; print the per-layer host-time "
+        "table after the run",
     )
     return parser.parse_args(argv)
 
@@ -188,19 +189,12 @@ def _inject_sweep(args) -> int:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    if args.profile:
-        from repro.obs import profile as profile_mod
-
-        profile_mod.begin_session()
-        try:
-            status = _dispatch(args)
-        finally:
-            session = profile_mod.end_session()
-        if session is not None:
-            print()
-            print(session.render())
-        return status
-    return _dispatch(args)
+    with profiling(args.profile) as session:
+        status = _dispatch(args)
+    if session is not None:
+        print()
+        print(session.render())
+    return status
 
 
 def _dispatch(args) -> int:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional
 
-from repro.obs.profile import NULL_PROFILER
 
 #: cycles charged when a ``*.delay`` site fires (lock hold-off injection)
 INJECT_DELAY_CYCLES = 400
@@ -148,7 +147,6 @@ class FailPointRegistry:
 
     __slots__ = (
         "_plans", "hits", "fired", "_kstat", "_active", "_recording",
-        "profile",
     )
 
     def __init__(self, kstat=None):
@@ -158,8 +156,6 @@ class FailPointRegistry:
         self._kstat = kstat
         self._active = False
         self._recording = False
-        #: host profiler timing the hit checks (machine swaps in a live one)
-        self.profile = NULL_PROFILER
 
     # ------------------------------------------------------------------
 
@@ -192,20 +188,7 @@ class FailPointRegistry:
     def fire(self, site: str) -> bool:
         """Record a hit at ``site``; True when the armed policy fires."""
         if not self._active:
-            # Disarmed probes are hit on every syscall/fault path, so the
-            # no-op case returns before even the profiler bracketing —
-            # there is nothing meaningful to attribute to "inject.fire".
-            return False
-        profile = self.profile
-        if profile.enabled:
-            t0 = profile.clock()
-            fired = self._fire(site)
-            profile.leaf("inject.fire", t0)
-            return fired
-        return self._fire(site)
-
-    def _fire(self, site: str) -> bool:
-        if not self._active:
+            # disarmed probes are hit on every syscall/fault path
             return False
         hit_no = self.hits.get(site, 0) + 1
         self.hits[site] = hit_no

@@ -88,19 +88,13 @@ class FaultMixin:
 
         # Software refill: trap, walk the pregion lists under the lock.
         yield kdelay(self.costs.tlb_refill)
-        profile = self.machine.profile
         locked = "none"
         if vmshare.sharing_vm(proc):
             yield from vmshare.read_acquire(proc)
             locked = "read"
         try:
             while True:
-                if profile.enabled:
-                    t0 = profile.clock()
-                    res = proc.vm.resolve(vaddr, write)
-                    profile.leaf("fault.resolve", t0)
-                else:
-                    res = proc.vm.resolve(vaddr, write)
+                res = proc.vm.resolve(vaddr, write)
                 kind = res.kind
                 if info is not None:
                     info["kind"] = kind

@@ -101,7 +101,6 @@ class Kernel(
         self.vm_lock_factory = vm_lock_factory
 
         self.tracer = None  #: optional repro.sim.trace.Tracer
-        self.profile = machine.profile  #: host self-profiler (may be NULL)
         self.kstat = machine.kstat  #: the machine's kstat counter registry
         self.inject = machine.inject  #: the machine's failpoint registry
         self.fs = FileSystem()
@@ -151,13 +150,7 @@ class Kernel(
         never test ``self.tracer`` themselves.
         """
         if self.tracer is not None:
-            profile = self.profile
-            if profile.enabled:
-                t0 = profile.clock()
-                self.tracer.record(kind, pid, detail, ph=ph, cpu=cpu)
-                profile.leaf("obs.trace", t0)
-            else:
-                self.tracer.record(kind, pid, detail, ph=ph, cpu=cpu)
+            self.tracer.record(kind, pid, detail, ph=ph, cpu=cpu)
 
     def fail(self, site: str) -> bool:
         """Did the failpoint at ``site`` fire?  Host-side, charges nothing."""

@@ -77,7 +77,7 @@ class RunQueue:
     def peek(self) -> Optional[Tuple[int, int, Proc]]:
         """``(pri, seq, proc)`` of the best entry, or None when empty."""
         # _prune inlined: peek is called once per run queue per dispatch
-        # decision, so the extra call frame showed up in profiles.
+        # decision, so the extra call frame showed up in host timings.
         heap = self._heap
         while heap and not heap[0][3]:
             heapq.heappop(heap)

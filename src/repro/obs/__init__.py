@@ -12,10 +12,10 @@ against.  Three layers, all host-side and all free of simulated cycles:
   primitives (off by default; ``System(lockdep=True)``);
 * :mod:`repro.obs.procfs` — ``/proc``-style text tables rendered from a
   live :class:`~repro.system.System` (``System.report()``);
-* :mod:`repro.obs.profile` — the host-side self-profiler: per-phase
-  wall-time breakdown of the simulator itself and the
-  ``sim_cycles_per_host_sec`` speed metric (off by default;
-  ``System(profile=True)`` or any ``--profile`` CLI flag).
+* :mod:`repro.obs.profile` — the host-side profiler: a statistical
+  sampler that charges the simulator's own CPU time to the module it
+  was spent in, plus the ``sim_cycles_per_host_sec`` speed metric (off
+  by default; any ``--profile`` CLI flag opens a session).
 
 Counters never charge cycles, so enabling or disabling them cannot move
 a benchmark headline number — `tests/test_obs.py` holds this and the
@@ -27,28 +27,26 @@ from repro.obs.lockdep import NULL_LOCKDEP, LockDep, LockOrderViolation, lock_cl
 from repro.obs.lockstat import LockStat, LockStatRegistry
 from repro.obs.procfs import render_system
 from repro.obs.profile import (
-    NULL_PROFILER,
-    HostProfiler,
     ProfileSession,
     active_session,
     begin_session,
     end_session,
+    profiling,
 )
 
 __all__ = [
     "Histogram",
-    "HostProfiler",
     "KstatRegistry",
     "LockDep",
     "LockOrderViolation",
     "LockStat",
     "LockStatRegistry",
     "NULL_LOCKDEP",
-    "NULL_PROFILER",
     "ProfileSession",
     "active_session",
     "begin_session",
     "end_session",
     "lock_class",
+    "profiling",
     "render_system",
 ]

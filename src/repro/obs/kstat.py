@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.obs.profile import NULL_PROFILER
-
 
 class Histogram:
     """A power-of-two-bucketed value distribution (latency style).
@@ -130,12 +128,10 @@ class KstatRegistry:
     one nested plain-dict view of everything, suitable for JSON.
     """
 
-    __slots__ = ("enabled", "profile", "_values", "_hists")
+    __slots__ = ("enabled", "_values", "_hists")
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        #: host profiler timing the hook cost (machine swaps in a live one)
-        self.profile = NULL_PROFILER
         #: (kind, ident) -> {name: int}
         self._values: Dict[Tuple[str, int], Dict[str, int]] = {}
         #: (kind, ident) -> {name: Histogram}
@@ -148,34 +144,24 @@ class KstatRegistry:
         """Bump counter ``name`` in scope ``(kind, ident)`` by ``n``."""
         if not self.enabled:
             return
-        profile = self.profile
-        t0 = profile.clock() if profile.enabled else 0.0
         scope = self._values.get((kind, ident))
         if scope is None:
             scope = self._values[(kind, ident)] = {}
         scope[name] = scope.get(name, 0) + n
-        if t0:
-            profile.leaf("obs.kstat", t0)
 
     def set(self, kind: str, ident: int, name: str, value: int) -> None:
         """Set gauge ``name`` (last write wins)."""
         if not self.enabled:
             return
-        profile = self.profile
-        t0 = profile.clock() if profile.enabled else 0.0
         scope = self._values.get((kind, ident))
         if scope is None:
             scope = self._values[(kind, ident)] = {}
         scope[name] = value
-        if t0:
-            profile.leaf("obs.kstat", t0)
 
     def observe(self, kind: str, ident: int, name: str, value: int) -> None:
         """Record ``value`` into histogram ``name``."""
         if not self.enabled:
             return
-        profile = self.profile
-        t0 = profile.clock() if profile.enabled else 0.0
         scope = self._hists.get((kind, ident))
         if scope is None:
             scope = self._hists[(kind, ident)] = {}
@@ -183,15 +169,11 @@ class KstatRegistry:
         if hist is None:
             hist = scope[name] = Histogram()
         hist.add(value)
-        if t0:
-            profile.leaf("obs.kstat", t0)
 
     def observe_n(self, kind: str, ident: int, name: str, value: int, n: int) -> None:
         """Record ``n`` identical samples into histogram ``name`` (O(1))."""
         if not self.enabled:
             return
-        profile = self.profile
-        t0 = profile.clock() if profile.enabled else 0.0
         scope = self._hists.get((kind, ident))
         if scope is None:
             scope = self._hists[(kind, ident)] = {}
@@ -199,8 +181,6 @@ class KstatRegistry:
         if hist is None:
             hist = scope[name] = Histogram()
         hist.add_n(value, n)
-        if t0:
-            profile.leaf("obs.kstat", t0)
 
     # ------------------------------------------------------------------
     # reading

@@ -171,6 +171,7 @@ def render_layers(system) -> str:
     nothing) states its switch position.
     """
     from repro.obs.lockdep import NULL_LOCKDEP
+    from repro.obs.profile import active_session
 
     machine = system.machine
     kernel = system.kernel
@@ -178,7 +179,7 @@ def render_layers(system) -> str:
         ("kstat", machine.kstat.enabled),
         ("lockdep", machine.lockdep is not NULL_LOCKDEP),
         ("inject", bool(machine.inject.armed_sites)),
-        ("profile", machine.profile.enabled),
+        ("profile", active_session() is not None),
         ("trace", kernel.tracer is not None),
     ]
     return "layers: " + "  ".join(

@@ -1,355 +1,238 @@
-"""Host-side self-profiler: where does the *simulator's* wall time go?
+"""Host-side profiler: where does the *simulator's* own time go?
 
 Every other observability layer measures the simulated machine; this one
-measures the simulator.  A :class:`HostProfiler` carries a stack of
-*phases* — named regions of the DES core (the engine event loop, the CPU
-interpreter dispatch, the fault-path pregion walk, the kstat/trace
-hooks, the inject checks) — and attributes host ``perf_counter`` time
-exclusively to the innermost active phase.  The headline number is
-``sim_cycles_per_host_sec``: how many simulated cycles one host second
-buys, the metric the ROADMAP's 10x host-speed refactor will be gated on.
+measures the simulator.  It is a statistical sampler.  While a
+:class:`ProfileSession` is open, ``signal.setitimer(ITIMER_PROF)`` ticks
+every :data:`TICK_S` of process CPU time, and each tick charges the CPU
+time since the previous tick to the *layer* of the interrupted frame.  A
+layer is the frame's module path under ``src/repro`` in dotted form
+(``kernel/fault.py`` is ``kernel.fault``, a package's ``__init__`` is
+the package); frames from anywhere else count as ``host``.  Nothing in
+the simulated machine knows the profiler exists, so a profiled run is
+cycle-identical to an unprofiled one (``tests/test_profile.py``) and an
+unprofiled run pays nothing for it.
 
-Disarmed fast path (the lockdep/inject pattern): ``NULL_PROFILER`` is a
-singleton whose ``enabled`` is False; every hook point is a single
-attribute test away from doing nothing, so a run without ``--profile``
-is host-state-identical to a build without the profiler at all.  The
-profiler never reads or writes simulated state, so armed runs are
-*cycle-identical* to disarmed ones (held by ``tests/test_profile.py``).
+Run accounting is the one explicit hook: ``System.run`` adds its
+``perf_counter`` wall time and its deltas of simulated cycles, engine
+events and inline-continuation hops/fallbacks to the active session.
+The headline ``sim_cycles_per_host_sec`` divides the two.
 
-Two hook idioms, chosen by nesting:
-
-* **stack phases** (``push``/``pop``) for regions that contain other
-  phases — the engine loop and the interpreter dispatch;
-* **leaf phases** (``t0 = prof.clock()`` … ``prof.leaf(name, t0)``) for
-  the short, non-nesting hooks (kstat, trace, inject, pregion resolve) —
-  one combined bookkeeping call instead of a push/pop pair.
-
-Probe effect: timing a leaf costs two clock reads, which for very hot
-hooks (kstat adds) can rival the hook body itself.  The breakdown is for
-*ranking* phases, not for nanosecond-accurate accounting — treat small
-leaf phases as upper bounds.
-
-A :class:`ProfileSession` aggregates every profiler created while it is
-active (the ``--profile`` CLI flag opens one), merging per-phase time
-across the many ``System`` instances one benchmark builds and across
-``multiprocessing`` shards, and renders the per-phase table that lands
-in ``BENCH_HOST.json``.
+Sessions nest.  ``--profile`` on ``repro.bench`` and ``repro.check``
+opens one, the bench CLI opens one more per experiment, and every sweep
+shard opens its own.  Ticks and runs go to the innermost open session
+only; an enclosing session takes an inner one's numbers with
+:meth:`ProfileSession.absorb`, exactly as it takes the summaries that
+``multiprocessing`` shards ship back, so nothing is counted twice.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import time
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional
 
-#: phase names used by the built-in hooks (docs + report ordering)
-KNOWN_PHASES = (
-    "engine.loop",    # heap pops, event bookkeeping, callback overhead
-    "engine.inline",  # inline-continuation bursts (trampoline-elided hops)
-    "cpu.interp",     # generator resume + effect interpretation
-    "fault.resolve",  # pregion-list walk on a TLB refill
-    "obs.kstat",      # kstat counter/gauge/histogram hooks
-    "obs.trace",      # tracer record hooks (when a tracer is attached)
-    "inject.fire",    # failpoint hit checks
-)
+#: the sampler's tick, in seconds of process CPU time
+TICK_S = 0.001
+
+_SRC_REPRO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-class HostProfiler:
-    """Exclusive per-phase host-time accounting for one machine.
-
-    Time between phase transitions is credited to the phase on top of
-    the stack, so nested phases subtract from their parents and the
-    reported seconds sum to (approximately) the profiled wall time.
-    """
-
-    __slots__ = (
-        "enabled", "seconds", "hits", "counters", "wall_seconds",
-        "sim_cycles", "events", "runs", "_clock", "_stack", "_last",
-        "_run_wall0", "_run_cycles0", "_run_events0",
-    )
-
-    #: the disarmed singleton overrides this; hooks test only this flag
-    def __init__(self, clock=time.perf_counter):
-        self.enabled = True
-        self._clock = clock
-        self.seconds: Dict[str, float] = {}   #: phase -> exclusive host s
-        self.hits: Dict[str, int] = {}        #: phase -> enter count
-        self.counters: Dict[str, int] = {}    #: named event counts
-        self.wall_seconds = 0.0               #: total time inside Engine.run
-        self.sim_cycles = 0                   #: cycles advanced while profiled
-        self.events = 0                       #: engine events while profiled
-        self.runs = 0                         #: Engine.run invocations
-        self._stack: List[str] = []
-        self._last: Optional[float] = None
-        self._run_wall0 = 0.0
-        self._run_cycles0 = 0
-        self._run_events0 = 0
-
-    # ------------------------------------------------------------------
-    # hook API (hot; every branch counts)
-
-    def clock(self) -> float:
-        return self._clock()
-
-    def push(self, phase: str) -> None:
-        """Enter a stack phase; time since the last transition goes to
-        the enclosing phase."""
-        now = self._clock()
-        stack = self._stack
-        last = self._last
-        if last is not None and stack:
-            top = stack[-1]
-            seconds = self.seconds
-            seconds[top] = seconds.get(top, 0.0) + (now - last)
-        stack.append(phase)
-        hits = self.hits
-        hits[phase] = hits.get(phase, 0) + 1
-        self._last = now
-
-    def pop(self) -> None:
-        """Leave the current stack phase, crediting it."""
-        now = self._clock()
-        stack = self._stack
-        last = self._last
-        if last is not None:
-            top = stack[-1]
-            seconds = self.seconds
-            seconds[top] = seconds.get(top, 0.0) + (now - last)
-        stack.pop()
-        self._last = now if stack else None
-
-    def leaf(self, phase: str, t0: float) -> None:
-        """Credit a leaf phase that began at ``t0`` (from :meth:`clock`).
-
-        Equivalent to ``push(phase)`` at ``t0`` + ``pop()`` now, with two
-        clock reads instead of four.
-        """
-        now = self._clock()
-        if self._last is not None and self._stack:
-            top = self._stack[-1]
-            self.seconds[top] = self.seconds.get(top, 0.0) + (t0 - self._last)
-            self._last = now
-        self.seconds[phase] = self.seconds.get(phase, 0.0) + (now - t0)
-        self.hits[phase] = self.hits.get(phase, 0) + 1
-
-    def count(self, name: str, n: int) -> None:
-        """Accumulate a named occurrence counter (no timing attached).
-
-        Used for fast-path hit-rate telemetry — e.g. ``inline_hops`` /
-        ``inline_fallbacks`` from the engine's inline-continuation slot —
-        where the interesting number is *how often*, not *how long*.
-        """
-        if n:
-            self.counters[name] = self.counters.get(name, 0) + n
-
-    # ------------------------------------------------------------------
-    # Engine.run session bracketing
-
-    def run_begin(self, cycles: int, events: int) -> None:
-        self._run_wall0 = self._clock()
-        self._run_cycles0 = cycles
-        self._run_events0 = events
-        self.runs += 1
-        self.push("engine.loop")
-
-    def run_end(self, cycles: int, events: int) -> None:
-        self.pop()
-        self.wall_seconds += self._clock() - self._run_wall0
-        self.sim_cycles += cycles - self._run_cycles0
-        self.events += events - self._run_events0
-
-    # ------------------------------------------------------------------
-    # results
-
-    @property
-    def sim_cycles_per_host_sec(self) -> float:
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return self.sim_cycles / self.wall_seconds
-
-    def summary(self) -> dict:
-        """One JSON-serialisable dict: phases, wall, cycles, the rate."""
-        return {
-            "phases": {
-                name: {"seconds": self.seconds.get(name, 0.0),
-                       "hits": self.hits.get(name, 0)}
-                for name in sorted(set(self.seconds) | set(self.hits))
-            },
-            "counters": dict(self.counters),
-            "wall_seconds": self.wall_seconds,
-            "sim_cycles": self.sim_cycles,
-            "events": self.events,
-            "runs": self.runs,
-            "sim_cycles_per_host_sec": self.sim_cycles_per_host_sec,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<HostProfiler %.3fs %d cycles>" % (
-            self.wall_seconds, self.sim_cycles)
-
-
-class NullProfiler:
-    """The disarmed profiler: ``enabled`` is False, everything no-ops.
-
-    Hook points test ``profile.enabled`` and skip their timing branch,
-    so the only cost of a disarmed build is that single attribute test —
-    the same bargain ``NULL_LOCKDEP`` and the inject registry strike.
-    """
-
-    __slots__ = ()
-    enabled = False
-
-    def clock(self) -> float:  # pragma: no cover - never on the fast path
-        return 0.0
-
-    def push(self, phase: str) -> None:  # pragma: no cover
-        pass
-
-    def pop(self) -> None:  # pragma: no cover
-        pass
-
-    def leaf(self, phase: str, t0: float) -> None:  # pragma: no cover
-        pass
-
-    def count(self, name: str, n: int) -> None:  # pragma: no cover
-        pass
-
-    def run_begin(self, cycles: int, events: int) -> None:  # pragma: no cover
-        pass
-
-    def run_end(self, cycles: int, events: int) -> None:  # pragma: no cover
-        pass
-
-
-NULL_PROFILER = NullProfiler()
-
-
-# ----------------------------------------------------------------------
-# session aggregation (the --profile CLI plumbing)
+def layer_of(filename: str) -> str:
+    """The layer of a code object's ``co_filename``."""
+    path = os.path.abspath(filename)
+    if not (path.startswith(_SRC_REPRO + os.sep) and path.endswith(".py")):
+        return "host"
+    parts = os.path.relpath(path[:-3], _SRC_REPRO).split(os.sep)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts) or "repro"
 
 
 class ProfileSession:
-    """Aggregates every profiler created while the session is active.
+    """Sampled layer time and ``System.run`` accounting for one stretch.
 
-    One benchmark builds many ``System``s (ablation pairs, quiet
-    determinism runs); a seed sweep builds them in worker processes and
-    ships summaries back.  ``merged()`` folds all of it into one
-    breakdown; ``wall_seconds`` then means *host-CPU seconds* (shards
-    overlap in wall-clock), which is the right denominator for a
-    machine-speed metric.
+    ``wall_seconds`` sums the runs' wall times; once shards are absorbed
+    it is host-CPU seconds (shards overlap in wall clock), the right
+    denominator for a machine-speed metric.
     """
 
     def __init__(self):
-        self.profilers: List[HostProfiler] = []
-        self.extra_summaries: List[dict] = []  #: from worker processes
+        self.layers: Dict[str, Dict[str, float]] = {}  #: {self_s, samples}
+        self.counters: Dict[str, int] = {
+            "inline_hops": 0, "inline_fallbacks": 0,
+        }
+        self.wall_seconds = 0.0
+        self.sim_cycles = 0
+        self.events = 0
+        self.runs = 0
 
-    def add(self, profiler: HostProfiler) -> None:
-        self.profilers.append(profiler)
+    def _layer_row(self, name: str) -> Dict[str, float]:
+        row = self.layers.get(name)
+        if row is None:
+            row = self.layers[name] = {"self_s": 0.0, "samples": 0}
+        return row
+
+    @contextmanager
+    def measure(self, engine) -> Iterator[None]:
+        """Charge the ``engine.run`` call inside the block to this session."""
+        cycles, events = engine.now, engine.events_processed
+        hops, fallbacks = engine.inline_hops, engine.inline_fallbacks
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.wall_seconds += time.perf_counter() - start
+            self.runs += 1
+            self.sim_cycles += engine.now - cycles
+            self.events += engine.events_processed - events
+            self.counters["inline_hops"] += engine.inline_hops - hops
+            self.counters["inline_fallbacks"] += (
+                engine.inline_fallbacks - fallbacks
+            )
 
     def absorb(self, summary: dict) -> None:
-        """Fold in a summary dict produced in another process."""
-        self.extra_summaries.append(summary)
+        """Fold in a :meth:`summary` from a nested session or a shard."""
+        for name, row in summary.get("layers", {}).items():
+            slot = self._layer_row(name)
+            slot["self_s"] += row["self_s"]
+            slot["samples"] += row["samples"]
+        for name, value in summary.get("counters", {}).items():
+            self.counters[name] = self.counters.get(name, 0) + value
+        self.wall_seconds += summary.get("wall_seconds", 0.0)
+        self.sim_cycles += summary.get("sim_cycles", 0)
+        self.events += summary.get("events", 0)
+        self.runs += summary.get("runs", 0)
 
-    def merged(self) -> dict:
-        phases: Dict[str, Dict[str, float]] = {}
-        counters: Dict[str, int] = {}
-        wall = 0.0
-        cycles = 0
-        events = 0
-        runs = 0
-        systems = 0
-        for summary in (
-            [prof.summary() for prof in self.profilers] + self.extra_summaries
-        ):
-            systems += 1
-            wall += summary.get("wall_seconds", 0.0)
-            cycles += summary.get("sim_cycles", 0)
-            events += summary.get("events", 0)
-            runs += summary.get("runs", 0)
-            for name, row in summary.get("phases", {}).items():
-                slot = phases.setdefault(name, {"seconds": 0.0, "hits": 0})
-                slot["seconds"] += row.get("seconds", 0.0)
-                slot["hits"] += row.get("hits", 0)
-            for name, value in summary.get("counters", {}).items():
-                counters[name] = counters.get(name, 0) + value
+    def summary(self) -> dict:
+        """One JSON-serialisable dict: layers, runs, cycles, the rate."""
+        wall = self.wall_seconds
         return {
-            "phases": {name: phases[name] for name in sorted(phases)},
-            "counters": {name: counters[name] for name in sorted(counters)},
+            "layers": {name: dict(self.layers[name])
+                       for name in sorted(self.layers)},
+            "counters": dict(sorted(self.counters.items())),
             "wall_seconds": wall,
-            "sim_cycles": cycles,
-            "events": events,
-            "runs": runs,
-            "profilers": systems,
-            "sim_cycles_per_host_sec": cycles / wall if wall > 0 else 0.0,
+            "sim_cycles": self.sim_cycles,
+            "events": self.events,
+            "runs": self.runs,
+            "sim_cycles_per_host_sec": (
+                self.sim_cycles / wall if wall > 0 else 0.0),
         }
 
     def render(self) -> str:
-        """The per-phase host-time breakdown as an aligned text table."""
-        merged = self.merged()
-        wall = merged["wall_seconds"]
+        """The per-layer host-time table, largest self time first."""
+        layers = self.layers
+        sampled = sum(row["self_s"] for row in layers.values())
+        samples = sum(row["samples"] for row in layers.values())
         lines = [
-            "HOST PROFILE (%d profiler(s), %.3f host-s inside Engine.run)"
-            % (merged["profilers"], wall),
-            "%-16s %12s %12s %8s" % ("phase", "host-sec", "hits", "share"),
-            "-" * 52,
+            "HOST PROFILE (%s samples, %.3f host-s sampled; %d run(s), "
+            "%.3f host-s inside System.run)"
+            % ("{:,}".format(samples), sampled, self.runs, self.wall_seconds),
+            "%-24s %10s %10s %8s" % ("layer", "self-s", "samples", "share"),
+            "-" * 55,
         ]
-        known = [n for n in KNOWN_PHASES if n in merged["phases"]]
-        extra = [n for n in sorted(merged["phases"]) if n not in KNOWN_PHASES]
-        for name in known + extra:
-            row = merged["phases"][name]
-            share = row["seconds"] / wall if wall > 0 else 0.0
+        for name in sorted(layers, key=lambda n: (-layers[n]["self_s"], n)):
+            row = layers[name]
+            share = row["self_s"] / sampled if sampled > 0 else 0.0
             lines.append(
-                "%-16s %12.4f %12s %7.1f%%"
-                % (name, row["seconds"], "{:,}".format(row["hits"]),
+                "%-24s %10.3f %10s %7.1f%%"
+                % (name, row["self_s"], "{:,}".format(row["samples"]),
                    100.0 * share)
             )
-        counters = merged.get("counters", {})
-        if counters:
+        hops = self.counters.get("inline_hops", 0)
+        fallbacks = self.counters.get("inline_fallbacks", 0)
+        if hops or fallbacks:
             lines.append(
-                "counters: "
-                + "  ".join(
-                    "%s=%s" % (name, "{:,}".format(counters[name]))
-                    for name in sorted(counters)
-                )
+                "inline hit rate: %.1f%% (%s hops, %s fallbacks, "
+                "%s queued events)"
+                % (100.0 * hops / max(1, self.events),
+                   "{:,}".format(hops), "{:,}".format(fallbacks),
+                   "{:,}".format(self.events - hops))
             )
-            hops = counters.get("inline_hops", 0)
-            fallbacks = counters.get("inline_fallbacks", 0)
-            if hops or fallbacks:
-                lines.append(
-                    "inline hit rate: %.1f%% (%s hops, %s fallbacks, "
-                    "%s queued events)"
-                    % (
-                        100.0 * hops / max(1, merged["events"]),
-                        "{:,}".format(hops),
-                        "{:,}".format(fallbacks),
-                        "{:,}".format(merged["events"] - hops),
-                    )
-                )
+        wall = self.wall_seconds
         lines.append(
             "sim cycles %s in %.3f host-s -> %s cycles/host-sec "
             "(%s events)"
-            % ("{:,}".format(merged["sim_cycles"]), wall,
-               "{:,.0f}".format(merged["sim_cycles_per_host_sec"]),
-               "{:,}".format(merged["events"]))
+            % ("{:,}".format(self.sim_cycles), wall,
+               "{:,.0f}".format(self.sim_cycles / wall if wall > 0 else 0.0),
+               "{:,}".format(self.events))
         )
         return "\n".join(lines)
 
 
-_session: Optional[ProfileSession] = None
+# ----------------------------------------------------------------------
+# the process-wide sampler
+
+_stack: List[ProfileSession] = []  #: open sessions, innermost last
+_layer_cache: Dict[str, str] = {}  #: co_filename -> layer
+_last = 0.0  #: process CPU time at the previous tick
+_previous_handler: Any = None  #: the SIGPROF handler to restore
+
+
+def _tick(signum, frame) -> None:
+    global _last
+    now = time.process_time()
+    elapsed, _last = now - _last, now
+    if frame is None or not _stack:
+        return
+    filename = frame.f_code.co_filename
+    layer = _layer_cache.get(filename)
+    if layer is None:
+        layer = _layer_cache[filename] = layer_of(filename)
+    row = _stack[-1]._layer_row(layer)
+    row["self_s"] += elapsed
+    row["samples"] += 1
+
+
+def _forget_inherited_sessions() -> None:
+    # a forked child has no timer; its parent's sessions are not its own
+    _stack.clear()
+
+
+os.register_at_fork(after_in_child=_forget_inherited_sessions)
 
 
 def begin_session() -> ProfileSession:
-    """Open a global session: Systems built with ``profile=None`` arm
-    themselves and register here until :func:`end_session`."""
-    global _session
-    _session = ProfileSession()
-    return _session
+    """Open a session nested in the active one and make it active.
+
+    The outermost session arms the sampler; until :func:`end_session`
+    every tick and every ``System.run`` is charged to the new session.
+    """
+    global _last, _previous_handler
+    session = ProfileSession()
+    if not _stack:
+        _previous_handler = signal.signal(signal.SIGPROF, _tick)
+        _last = time.process_time()
+        signal.setitimer(signal.ITIMER_PROF, TICK_S, TICK_S)
+    _stack.append(session)
+    return session
 
 
 def end_session() -> Optional[ProfileSession]:
-    global _session
-    session, _session = _session, None
+    """Close the innermost session; the enclosing one is active again."""
+    if not _stack:
+        return None
+    session = _stack.pop()
+    if not _stack:
+        signal.setitimer(signal.ITIMER_PROF, 0, 0)
+        # None: the previous handler was not installed from Python
+        signal.signal(signal.SIGPROF, _previous_handler or signal.SIG_DFL)
     return session
 
 
 def active_session() -> Optional[ProfileSession]:
-    return _session
+    return _stack[-1] if _stack else None
+
+
+@contextmanager
+def profiling(enabled: bool = True) -> Iterator[Optional[ProfileSession]]:
+    """A nested session around the block; ``None`` when not ``enabled``."""
+    if not enabled:
+        yield None
+        return
+    session = begin_session()
+    try:
+        yield session
+    finally:
+        end_session()

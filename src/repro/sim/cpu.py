@@ -34,7 +34,7 @@ class CPU:
     """One processor of the simulated multiprocessor."""
 
     __slots__ = (
-        "idx", "machine", "engine", "costs", "kstat", "profile", "tlb",
+        "idx", "machine", "engine", "costs", "kstat", "tlb",
         "current", "kernel", "dispatcher", "_last_asid", "_label",
         "_resume_cb", "_boundary_cb", "_dispatch_cb", "_resched",
         "busy_cycles", "switches", "dispatches", "preemptions",
@@ -46,7 +46,6 @@ class CPU:
         self.engine = machine.engine
         self.costs = machine.costs
         self.kstat = machine.kstat
-        self.profile = machine.profile
         self.tlb = TLB(
             tlb_capacity,
             kstat=machine.kstat,
@@ -59,12 +58,8 @@ class CPU:
         self._last_asid: Optional[int] = None
         self._label = "cpu%d" % idx  #: trace detail, built once
         # Prebound hot-path callables: one bound method each for the
-        # lifetime of the CPU.  An armed host profiler swaps in the timed
-        # interpreter dispatch; a disarmed CPU pays nothing for it.
-        if machine.profile.enabled:
-            self._resume_cb = self._resume_profiled
-        else:
-            self._resume_cb = self._resume
+        # lifetime of the CPU.
+        self._resume_cb = self._resume
         self._boundary_cb = self._boundary
         self._dispatch_cb = self._dispatch_boundary
         # the trampoline-eliding hop for steady-state resumes; under the
@@ -137,15 +132,6 @@ class CPU:
 
     # ------------------------------------------------------------------
     # interpreter
-
-    def _resume_profiled(self, value=None, exc: Optional[BaseException] = None) -> None:
-        """The interpreter dispatch under the ``cpu.interp`` phase timer."""
-        profile = self.profile
-        profile.push("cpu.interp")
-        try:
-            CPU._resume(self, value, exc)
-        finally:
-            profile.pop()
 
     def _resume(self, value=None, exc: Optional[BaseException] = None) -> None:
         """Advance the current process's top frame by one effect."""

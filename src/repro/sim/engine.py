@@ -56,7 +56,6 @@ from bisect import insort
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.obs.profile import NULL_PROFILER
 
 #: every tie-break site the perturbation RNG may be consulted from
 PERTURB_FEATURES = frozenset({"wakeup", "enqueue", "place", "select"})
@@ -160,8 +159,6 @@ class Engine:
         self._live: int = 0  #: scheduled, not cancelled, not fired
         self._garbage: int = 0  #: cancelled entries still queued
         self._running = False
-        #: host-side self-profiler; the machine swaps in a live one
-        self.profile = NULL_PROFILER
         if loop is None:
             loop = default_engine_loop()
         if loop not in ENGINE_LOOP_MODES:
@@ -322,13 +319,6 @@ class Engine:
                 "cannot run until the past (until=%d, now=%d)" % (until, self.now)
             )
         self._running = True
-        profile = self.profile
-        profiled = profile.enabled
-        hops0 = fallbacks0 = 0
-        if profiled:
-            profile.run_begin(self.now, self._events_processed)
-            hops0 = self.inline_hops
-            fallbacks0 = self.inline_fallbacks
         try:
             if self.loop == "fast":
                 self._drain_fast(until, max_events)
@@ -336,12 +326,6 @@ class Engine:
                 self._drain_naive(until, max_events)
         finally:
             self._running = False
-            if profiled:
-                profile.run_end(self.now, self._events_processed)
-                profile.count("inline_hops", self.inline_hops - hops0)
-                profile.count(
-                    "inline_fallbacks", self.inline_fallbacks - fallbacks0
-                )
 
     def _drain_fast(self, until: Optional[int], max_events: Optional[int]) -> None:
         """Batched drain: same-cycle events skip the time bookkeeping.
@@ -357,7 +341,6 @@ class Engine:
         parked = self._parked
         pop = heapq.heappop
         no_token = _NO_TOKEN
-        profile = self.profile
         # budget 0 means unlimited; a non-positive max_events still lets
         # one event through, exactly like the seed's `processed >= max`
         budget = max(1, max_events) if max_events is not None else 0
@@ -382,50 +365,41 @@ class Engine:
                     # ------- inline burst: the earliest parked
                     # continuation is the exact (time, seq) minimum —
                     # fire it directly, and keep firing while that
-                    # holds.  The profiler brackets the whole burst, so
-                    # armed runs pay two profiler calls per burst, not
-                    # per hop.
-                    profiled = profile.enabled
-                    if profiled:
-                        profile.push("engine.inline")
-                    try:
-                        while True:
-                            item = parked[0]
-                            t = item[0]
-                            if t != now:
-                                if until is not None and t > until:
-                                    self.now = until
-                                    return
-                                if t < now:
-                                    raise SimulationError(
-                                        "event queue time went backwards"
-                                    )
-                                now = self.now = t
-                            del parked[0]
-                            hops += 1
-                            item[2](item[3])
-                            processed += 1
-                            if processed == budget:
+                    # holds.
+                    while True:
+                        item = parked[0]
+                        t = item[0]
+                        if t != now:
+                            if until is not None and t > until:
+                                self.now = until
                                 return
-                            if not parked:
-                                break
-                            # the next parked hop fires iff it still
-                            # beats the head (the fired hop may have
-                            # queued new events)
-                            while queue:
-                                entry = queue[0]
-                                if entry[2].cancelled:
-                                    pop(queue)
-                                    self._garbage -= 1
-                                else:
-                                    break
+                            if t < now:
+                                raise SimulationError(
+                                    "event queue time went backwards"
+                                )
+                            now = self.now = t
+                        del parked[0]
+                        hops += 1
+                        item[2](item[3])
+                        processed += 1
+                        if processed == budget:
+                            return
+                        if not parked:
+                            break
+                        # the next parked hop fires iff it still
+                        # beats the head (the fired hop may have
+                        # queued new events)
+                        while queue:
+                            entry = queue[0]
+                            if entry[2].cancelled:
+                                pop(queue)
+                                self._garbage -= 1
                             else:
-                                continue
-                            if entry < parked[0]:
                                 break
-                    finally:
-                        if profiled:
-                            profile.pop()
+                        else:
+                            continue
+                        if entry < parked[0]:
+                            break
                     continue
                 # ------- queue path: one real event per iteration
                 # (not-yet-due parked hops just wait their turn)
@@ -491,8 +465,8 @@ class Engine:
         """Process a single event.  Returns ``False`` if the queue is empty.
 
         Runs through the same guarded path as :meth:`run`, so it honors
-        the re-entrancy guard, the backwards-time check, and profiler
-        bracketing that the full loop enforces.
+        the re-entrancy guard and the backwards-time check that the full
+        loop enforces.
         """
         before = self._events_processed
         self.run(max_events=1)

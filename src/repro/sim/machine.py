@@ -15,7 +15,6 @@ from repro.mem.frames import FrameAllocator, PAGE_SIZE
 from repro.obs.kstat import KstatRegistry
 from repro.obs.lockdep import LockDep, NULL_LOCKDEP
 from repro.obs.lockstat import LockStatRegistry
-from repro.obs.profile import NULL_PROFILER, HostProfiler, active_session
 from repro.sim.costs import CostModel, default_costs
 from repro.sim.cpu import CPU
 from repro.sim.engine import ENGINE_LOOP_MODES, Engine
@@ -40,7 +39,6 @@ class Machine:
         seed: Optional[int] = None,
         perturb: Optional[Iterable[str]] = None,
         vm_index: str = "indexed",
-        profile: bool = False,
         engine_loop: Optional[str] = None,
     ):
         if ncpus <= 0:
@@ -68,24 +66,11 @@ class Machine:
         self.kstat = KstatRegistry(enabled=metrics_enabled)
         self.lockstats = LockStatRegistry(enabled=metrics_enabled)
         self.lockdep = LockDep(self) if lockdep_enabled else NULL_LOCKDEP
-        # Host-side self-profiler: must exist before the CPUs (each CPU
-        # decides its interpreter hook off it) and before the engine hook
-        # below.  An active --profile session collects every armed one.
-        if profile:
-            self.profile = HostProfiler()
-            session = active_session()
-            if session is not None:
-                session.add(self.profile)
-        else:
-            self.profile = NULL_PROFILER
-        self.engine.profile = self.profile
         # Fault injection shares the observability plumbing: one registry
         # per machine, handed to the few leaf allocators that cannot
         # reach the kernel object.
         self.inject = FailPointRegistry(self.kstat)
         self.frames.inject = self.inject
-        self.kstat.profile = self.profile
-        self.inject.profile = self.profile
         self.cpus: List[CPU] = [CPU(i, self, tlb_capacity) for i in range(ncpus)]
         self._next_asid = 0
         self.shootdowns = 0

@@ -29,6 +29,7 @@ from typing import Callable, Dict, Iterable, Optional
 from repro.errors import DeadlockError
 from repro.kernel.kernel import Kernel, ProgramImage
 from repro.kernel.proc import Proc, ProcState
+from repro.obs.profile import active_session
 from repro.sim.costs import CostModel
 from repro.sim.machine import Machine
 from repro.sync.sharedlock import SharedReadLock
@@ -53,15 +54,8 @@ class System:
         perturb_features: Optional[Iterable[str]] = None,
         inject: Optional[Dict[str, str]] = None,
         vm_index: str = "indexed",
-        profile: Optional[bool] = None,
         engine_loop: Optional[str] = None,
     ):
-        if profile is None:
-            # --profile CLIs open a session; Systems built while one is
-            # active arm themselves and register with it.
-            from repro.obs.profile import active_session
-
-            profile = active_session() is not None
         self.machine = Machine(
             ncpus=ncpus,
             memory_bytes=memory_mb * 1024 * 1024,
@@ -72,7 +66,6 @@ class System:
             seed=perturb_seed,
             perturb=perturb_features,
             vm_index=vm_index,
-            profile=profile,
             engine_loop=engine_loop,
         )
         if inject:
@@ -120,9 +113,16 @@ class System:
 
         With ``check_deadlock`` (the default) a drained event queue while
         non-zombie processes still exist raises :class:`DeadlockError` —
-        invaluable when a test workload loses a wakeup.
+        invaluable when a test workload loses a wakeup.  An open
+        ``--profile`` session (:mod:`repro.obs.profile`) is charged the
+        run's wall time, cycles and engine events.
         """
-        self.engine.run(until=until, max_events=max_events)
+        session = active_session()
+        if session is None:
+            self.engine.run(until=until, max_events=max_events)
+        else:
+            with session.measure(self.engine):
+                self.engine.run(until=until, max_events=max_events)
         if check_deadlock and until is None and max_events is None:
             stuck = self.blocked_procs()
             if stuck:
@@ -165,11 +165,6 @@ class System:
         """The machine's lock dependency checker (NULL_LOCKDEP when off)."""
         return self.machine.lockdep
 
-    @property
-    def profile(self):
-        """The machine's host-side profiler (NULL_PROFILER when off)."""
-        return self.machine.profile
-
     def metrics(self) -> dict:
         """A plain-dict snapshot of every counter, gauge and histogram.
 
@@ -177,15 +172,12 @@ class System:
         "locks": {name: {...}}, "stats": {...}}`` — everything is
         JSON-serialisable and detached from live state.
         """
-        out = {
+        return {
             "cycles": self.engine.now,
             "kstat": self.machine.kstat.snapshot(),
             "locks": self.machine.lockstats.snapshot(),
             "stats": dict(self.kernel.stats),
         }
-        if self.machine.profile.enabled:
-            out["host"] = self.machine.profile.summary()
-        return out
 
     def report(self, top_locks: int = 10) -> str:
         """A /proc-style text report of the whole system (see obs.procfs)."""

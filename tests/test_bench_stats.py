@@ -99,10 +99,32 @@ def test_sweep_profiled_ships_host_summaries():
     host = sweep.host_summary()
     assert host is not None
     assert host["sim_cycles"] > 0
-    assert "engine.loop" in host["phases"]
+    assert host["runs"] > 0
+    assert "layers" in host
     # and the session did not leak into later Systems
     from repro.obs.profile import active_session
 
+    assert active_session() is None
+
+
+def test_in_process_sweep_keeps_the_enclosing_session():
+    from repro.obs.profile import ProfileSession, active_session, profiling
+
+    with profiling() as outer:
+        sweep = run_sweep("e15", nseeds=2, jobs=1, profiled=True, rounds=4)
+        # the shards' nested sessions closed without closing this one
+        assert active_session() is outer
+        assert outer.runs == 0 and outer.sim_cycles == 0
+        shards = [run["host"] for run in sweep.runs]
+        assert all(shard["runs"] > 0 for shard in shards)
+        outer.absorb(sweep.host_summary())
+    expected = ProfileSession()
+    for shard in shards:
+        expected.absorb(shard)
+    # each shard counted exactly once
+    assert outer.runs == expected.runs
+    assert outer.sim_cycles == expected.sim_cycles
+    assert outer.events == expected.events
     assert active_session() is None
 
 

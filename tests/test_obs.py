@@ -330,9 +330,13 @@ def test_layers_line_reflects_armed_layers():
     assert "lockdep=off" in line
     assert "inject=off" in line
     assert "profile=off" in line
-    armed = System(ncpus=2, lockdep=True, profile=True)
+    from repro.obs.profile import profiling
+
+    armed = System(ncpus=2, lockdep=True)
     armed.spawn(_group_main, {"members": 2, "pages": 4})
-    armed.run()
-    line = [l for l in armed.report().splitlines() if l.startswith("layers:")][0]
+    with profiling():
+        armed.run()
+        line = [l for l in armed.report().splitlines()
+                if l.startswith("layers:")][0]
     assert "lockdep=on" in line
     assert "profile=on" in line
