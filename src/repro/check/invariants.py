@@ -25,6 +25,10 @@ The three relationships, straight from the paper:
   cleared ``PR_SADDR`` means a private address space, a set one means
   the group's, and a pending sync flag is only legal while the matching
   mask bit is still set.
+* **run-queue consistency** (the scheduler's own bookkeeping): every
+  runnable process waits on exactly one run queue and nothing else
+  does, each per-CPU heap holds exactly its entry map's entries (plus
+  dead ones below a live head), and an idle CPU runs nothing.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.kernel.flags import ALL_SYNC
+from repro.kernel.proc import ProcState
 from repro.mem.frames import PAGE_SHIFT
 from repro.share.mask import NONVM_SYNC_BITS, PR_SADDR
 
@@ -256,6 +261,77 @@ def check_shmask_consistency(sim) -> List[str]:
 
 
 # ----------------------------------------------------------------------
+# run queues vs process states
+
+def check_runqueue_consistency(sim) -> List[str]:
+    """Run queues hold exactly the runnable processes, once each.
+
+    Per-CPU scheduler: each queue's live heap entries are exactly its
+    ``_entries`` map, the heap head is live (dispatch reads it without
+    pruning), and ``_where`` names the queue holding each pid.  Either
+    scheduler: every RUNNABLE process is queued exactly once, nothing
+    queued is in another state, and every CPU on the idle list has no
+    current process.
+    """
+    sched = sim.kernel.sched
+    findings = []
+    queued: Dict[int, List] = {}  #: pid -> [(queue name, proc), ...]
+    if hasattr(sched, "_queues"):
+        for queue in sched._queues:
+            name = "runq%d" % queue.idx
+            heap = queue._heap
+            live = {id(entry) for entry in heap if entry[3]}
+            if live != {id(entry) for entry in queue._entries.values()}:
+                findings.append(
+                    "%s: %d live heap entries but %d in the entry map"
+                    % (name, len(live), len(queue._entries))
+                )
+            if heap and not heap[0][3]:
+                findings.append(
+                    "%s: dead entry for pid %d at the heap head"
+                    % (name, heap[0][2].pid)
+                )
+            for pid, entry in sorted(queue._entries.items()):
+                proc = entry[2]
+                if proc.pid != pid:
+                    findings.append(
+                        "%s: entry keyed pid %d holds pid %d" % (name, pid, proc.pid)
+                    )
+                queued.setdefault(proc.pid, []).append((name, proc))
+                if sched._where.get(proc.pid) is not queue:
+                    findings.append(
+                        "%s: holds pid %d but _where does not name it"
+                        % (name, proc.pid)
+                    )
+        for pid in sorted(set(sched._where) - set(queued)):
+            findings.append("_where names a queue for pid %d, which none holds" % pid)
+    else:
+        for proc in sched._queue:
+            queued.setdefault(proc.pid, []).append(("global runq", proc))
+    for pid, homes in sorted(queued.items()):
+        proc = homes[0][1]
+        if proc.state is not ProcState.RUNNABLE:
+            findings.append(
+                "pid %d is %s but queued on %s" % (pid, proc.state.value, homes[0][0])
+            )
+        if len(homes) > 1:
+            findings.append(
+                "pid %d queued %d times (%s)"
+                % (pid, len(homes), ", ".join(name for name, _ in homes))
+            )
+    for proc in sim.kernel.proc_table.all_procs():
+        if proc.state is ProcState.RUNNABLE and proc.pid not in queued:
+            findings.append("pid %d is runnable but on no run queue" % proc.pid)
+    for cpu in sched._idle:
+        if cpu.current is not None:
+            findings.append(
+                "cpu%d is on the idle list but runs pid %d"
+                % (cpu.idx, cpu.current.pid)
+            )
+    return findings
+
+
+# ----------------------------------------------------------------------
 
 #: name -> checker, the order reports list them in
 CHECKERS = {
@@ -265,6 +341,7 @@ CHECKERS = {
     "pregion-index": check_pregion_index,
     "fd-refcounts": check_fd_refcounts,
     "shmask-consistency": check_shmask_consistency,
+    "runqueue-consistency": check_runqueue_consistency,
 }
 
 

@@ -6,8 +6,8 @@ peers (warm cache, and — for share-group members, which all run under
 one ASID — a warm TLB); otherwise it falls back to the least-loaded
 queue.  An idle CPU drains its own queue first and *steals* the best
 runnable process from a peer when its queue is empty, so no CPU idles
-while work waits.  Dispatch and preemption decisions peek only at the
-queue heads (O(ncpus)), never at every runnable process — the global
+while work waits.  Dispatch and preemption decisions read only the
+queue heads (O(ncpus)), never every runnable process — the global
 run-queue scan this design replaced is kept as :class:`GlobalScheduler`
 for the E15 ablation.
 
@@ -29,8 +29,8 @@ E12 measures what this buys spinlock-heavy workloads.
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.kernel.proc import Proc, ProcState
@@ -43,12 +43,14 @@ AFFINITY_SLACK = 1
 class RunQueue:
     """One CPU's priority run queue.
 
-    A binary heap of ``[pri, seq, proc, alive]`` entries with lazy
-    deletion: ``remove`` (work stealing, gang co-dispatch, priority
-    changes) marks the entry dead and the next ``peek``/``pop`` prunes
-    it.  ``seq`` is the scheduler-wide enqueue counter, so FIFO order
-    within a priority is preserved across queues and runs are
-    deterministic.
+    A binary heap of ``[pri, seq, proc, alive]`` entries.  ``remove``
+    pops the entry physically when it is the head (every dispatch and
+    every steal takes a head) and only marks a buried entry dead (gang
+    co-dispatch, priority changes); a dead entry is popped once the
+    removals above it bring it to the top.  So the head is
+    always live and the scheduler reads ``_heap[0]`` directly.  ``seq``
+    is the scheduler-wide enqueue counter, so FIFO order within a
+    priority is preserved across queues and runs are deterministic.
     """
 
     __slots__ = ("idx", "_heap", "_entries")
@@ -68,29 +70,18 @@ class RunQueue:
             )
         entry = [proc.pri, seq, proc, True]
         self._entries[proc.pid] = entry
-        heapq.heappush(self._heap, entry)
-
-    def _prune(self) -> None:
-        while self._heap and not self._heap[0][3]:
-            heapq.heappop(self._heap)
-
-    def peek(self) -> Optional[Tuple[int, int, Proc]]:
-        """``(pri, seq, proc)`` of the best entry, or None when empty."""
-        # _prune inlined: peek is called once per run queue per dispatch
-        # decision, so the extra call frame showed up in host timings.
-        heap = self._heap
-        while heap and not heap[0][3]:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        entry = heap[0]
-        return entry[0], entry[1], entry[2]
+        heappush(self._heap, entry)
 
     def remove(self, proc: Proc) -> bool:
         entry = self._entries.pop(proc.pid, None)
         if entry is None:
             return False
         entry[3] = False
+        heap = self._heap
+        if heap[0] is entry:
+            heappop(heap)
+            while heap and not heap[0][3]:
+                heappop(heap)
         return True
 
 
@@ -104,6 +95,10 @@ class Scheduler:
         self.machine = machine
         self.kernel = None  #: set by the kernel at boot (trace hooks)
         self._queues = [RunQueue(cpu.idx) for cpu in machine.cpus]
+        # the queues' own heaps and entry maps, indexed like _queues:
+        # the dispatch paths read heads and depths without a call each
+        self._heaps = [queue._heap for queue in self._queues]
+        self._entry_maps = [queue._entries for queue in self._queues]
         self._where: Dict[int, RunQueue] = {}  #: pid -> queue holding it
         self._idle = list(machine.cpus)  #: CPUs with nothing to run
         self._seq = 0  #: global enqueue counter (FIFO within priority)
@@ -150,13 +145,14 @@ class Scheduler:
     def _enqueue(self, proc: Proc) -> None:
         engine = self.machine.engine
         proc.runq_since = engine.now
-        if engine.perturbs("enqueue"):
+        queues = self._queues
+        if engine.rng is not None and engine.perturbs("enqueue"):
             # Schedule exploration: any queue within the affinity slack
             # of the shallowest is a legal home — let the seeded RNG
             # pick among them instead of always preferring last_cpu.
-            shallowest = min(len(q) for q in self._queues)
+            shallowest = min(map(len, self._entry_maps))
             candidates = [
-                q for q in self._queues
+                q for q in queues
                 if len(q) <= shallowest + AFFINITY_SLACK
             ]
             queue = engine.rng.choice(candidates)
@@ -168,15 +164,15 @@ class Scheduler:
         home = proc.last_cpu
         queue = None
         if home is not None:
-            shallowest = min(len(q) for q in self._queues)
-            if len(self._queues[home]) <= shallowest + AFFINITY_SLACK:
-                queue = self._queues[home]
+            entry_maps = self._entry_maps
+            if len(entry_maps[home]) <= min(map(len, entry_maps)) + AFFINITY_SLACK:
+                queue = queues[home]
         elif self._idle:
             # never-run process: head straight for a queue that will
             # drain immediately
-            queue = self._queues[self._idle[0].idx]
+            queue = queues[self._idle[0].idx]
         if queue is None:
-            queue = min(self._queues, key=len)
+            queue = min(queues, key=len)
         self._seq += 1
         queue.push(proc, self._seq)
         self._where[proc.pid] = queue
@@ -212,7 +208,7 @@ class Scheduler:
     def _dispatch_one(self) -> bool:
         """One dispatch decision; False when nothing may be placed.
 
-        The best candidate is found by peeking the head of every queue —
+        The best candidate is found by reading the head of every queue —
         O(ncpus), independent of how many processes are runnable.  A
         gang member at the head reserves idle CPUs: if not enough
         processors are free to co-schedule the whole gang we dispatch
@@ -250,14 +246,18 @@ class Scheduler:
         Gang heads are never chosen here — gangs dispatch only through
         the global-best path so the reservation rule stays intact.
         """
+        heaps = self._heaps
+        pri = best.pri
+        steps = 0
         for cpu in self._idle:
-            head = self._queues[cpu.idx].peek()
-            self.scan_steps += 1
-            if head is None:
-                continue
-            pri, _seq, proc = head
-            if pri == best.pri and not self._is_gang(proc):
-                return proc
+            steps += 1
+            heap = heaps[cpu.idx]
+            if heap:
+                head = heap[0]
+                if head[0] == pri and not self._is_gang(head[2]):
+                    self.scan_steps += steps
+                    return head[2]
+        self.scan_steps += steps
         return best
 
     def _select(self) -> Optional[Proc]:
@@ -268,26 +268,24 @@ class Scheduler:
         (a legal steal tie-break), which is how the schedule explorer
         varies who gets stolen first.
         """
+        heaps = self._heaps
         self.picks += 1
+        self.scan_steps += len(heaps)
         best = None
-        best_key = None
-        for queue in self._queues:
-            self.scan_steps += 1
-            head = queue.peek()
-            if head is None:
-                continue
-            pri, seq, proc = head
-            if best is None or (pri, seq) < best_key:
-                best, best_key = proc, (pri, seq)
+        for heap in heaps:
+            # [pri, seq, ...] lists compare by (pri, seq); seq is unique,
+            # so the comparison never reaches the proc
+            if heap and (best is None or heap[0] < best):
+                best = heap[0]
+        if best is None:
+            return None
         engine = self.machine.engine
-        if best is not None and engine.perturbs("select"):
-            heads = [
-                head[2] for head in (queue.peek() for queue in self._queues)
-                if head is not None and head[0] == best.pri
-            ]
+        if engine.rng is not None and engine.perturbs("select"):
+            pri = best[0]
+            heads = [heap[0][2] for heap in heaps if heap and heap[0][0] == pri]
             if len(heads) > 1:
                 return engine.rng.choice(heads)
-        return best
+        return best[2]
 
     def _place(self, proc: Proc) -> None:
         queue = self._where.pop(proc.pid)
@@ -315,7 +313,7 @@ class Scheduler:
         then whichever went idle first.  Under seeded perturbation any
         idle CPU is a legal placement (an affinity tie-break)."""
         engine = self.machine.engine
-        if len(self._idle) > 1 and engine.perturbs("place"):
+        if len(self._idle) > 1 and engine.rng is not None and engine.perturbs("place"):
             return engine.rng.choice(self._idle)
         for cpu in self._idle:
             if cpu.idx == queue.idx:
@@ -391,13 +389,13 @@ class Scheduler:
         CPUs stealing, so no remote scan is needed here.
         """
         self.scan_steps += 1
-        head = self._queues[cpu.idx].peek()
-        if head is None:
+        heap = self._heaps[cpu.idx]
+        if not heap:
             return False
-        pri, _seq, candidate = head
-        if self._gang_blocked(candidate):
+        head = heap[0]
+        if self._gang_blocked(head[2]):
             return False
-        return pri <= proc.pri
+        return head[0] <= proc.pri
 
     # ------------------------------------------------------------------
     # introspection

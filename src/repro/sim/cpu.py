@@ -12,13 +12,16 @@ boundary the CPU lets the kernel deliver pending signals and honors
 preemption requests; kernel-mode execution is never preempted, which is
 the classic System V invariant the paper leans on (section 6).
 
-The steady-state hop between ``_resume`` and ``_boundary`` uses the
-engine's inline-continuation slot (``engine.resched_inline``) with the
-callables prebound in ``__init__``: when the hop is the strictly next
-event on the timeline the engine fires it directly — no Event, no queue
-traffic, no closures (see ``docs/INTERNALS.md`` §14 and §17).  Paths
-that need a cancellable handle or follow anything other than the
-straight-line interpreter hop stay on ``engine.schedule_call``.
+Every hop the CPU schedules for itself — dispatch, kernel-``Delay``
+resumes, user-delay chunk boundaries, exec, frame completion, signal
+delivery and the empty-queue yield poll — goes through the engine's
+inline-continuation park (``engine.resched_inline``) with the callables
+prebound in ``__init__``: when the hop is the next event on the timeline
+the engine fires it directly — no Event, no queue traffic, no closures
+(see ``docs/INTERNALS.md`` §14 and §17).  None of these hops is ever
+cancelled, and each is issued either from the CPU's own firing hop or,
+for dispatch, onto an idle CPU that has none outstanding, so a CPU
+never has more than one hop parked.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class CPU:
         self._resume_cb = self._resume
         self._boundary_cb = self._boundary
         self._dispatch_cb = self._dispatch_boundary
-        # the trampoline-eliding hop for steady-state resumes; under the
+        # the trampoline-eliding hop for every CPU hop; under the
         # naive-loop ablation it degrades to schedule_call inside the
         # engine, so call sites never need to know the mode
         self._resched = machine.engine.resched_inline
@@ -121,9 +124,9 @@ class CPU:
         kernel = self.kernel
         if kernel is not None and kernel.tracer is not None:
             kernel.trace("dispatch", proc.pid, self._label, ph="B", cpu=self.idx)
-        self.engine.schedule(cost, self._dispatch_cb)
+        self._resched(cost, self._dispatch_cb, None)
 
-    def _dispatch_boundary(self) -> None:
+    def _dispatch_boundary(self, _token) -> None:
         """First boundary after dispatch: continue where the proc left off."""
         proc = self.current
         value = proc.resume_value
@@ -151,7 +154,7 @@ class CPU:
             # exec(): throw away the old image, start the new driver.
             proc.frames = [image.driver]
             proc.saved_resume = []
-            self.engine.schedule_call(0, self._resume_cb, None)
+            self._resched(0, self._resume_cb, None)
             return
         except SimulationError:
             raise
@@ -181,12 +184,12 @@ class CPU:
         proc.frames.pop()
         if proc.frames:
             saved = proc.saved_resume.pop()
-            self.engine.schedule_call(0, self._boundary_cb, saved)
+            self._resched(0, self._boundary_cb, saved)
         else:
             # The driver fell off the end without exiting; the kernel
             # turns that into an implicit exit(0).
             proc.frames.append(self.kernel.exit_generator(proc, 0))
-            self.engine.schedule_call(0, self._resume_cb, None)
+            self._resched(0, self._resume_cb, None)
 
     def _interpret(self, proc, effect) -> None:
         if type(effect) is Delay:
@@ -206,7 +209,7 @@ class CPU:
                 # sched_yield with an empty run queue: stay on the CPU
                 cost = self.costs.spin_poll
                 self.busy_cycles += cost
-                self.engine.schedule_call(cost, self._boundary_cb, None)
+                self._resched(cost, self._boundary_cb, None)
             return
         raise SimulationError("unknown effect %r from pid %s" % (effect, proc.pid))
 
@@ -254,7 +257,7 @@ class CPU:
         if delivery is not None:
             proc.saved_resume.append(resume_value)
             proc.frames.append(delivery)
-            self.engine.schedule_call(0, self._resume_cb, None)
+            self._resched(0, self._resume_cb, None)
             return
         if proc.quantum_left <= 0:
             proc.quantum_left = self.costs.quantum

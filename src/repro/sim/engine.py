@@ -29,17 +29,19 @@ Host-speed notes (see ``docs/INTERNALS.md`` §14 and §17):
   batches same-cycle events, hoisting the ``until``/backwards-time
   checks behind a single time-changed test.
 * :meth:`Engine.resched_inline` is the **inline-continuation park**:
-  the CPU's steady-state hops (kernel-``Delay`` resumes and user-delay
-  chunk boundaries) park a ``(time, seq, fn, token)`` quadruple in a
-  tiny sorted list on the engine — one outstanding hop per CPU —
-  instead of materializing a heap event.  Whenever the earliest parked
-  continuation is due *strictly earlier* than every queued event (ties
-  broken by the ``seq`` reserved at park time) the drain loop advances
-  the clock and fires it directly — zero Event allocation, zero queue
-  traffic; when a queued event is due first the parked hops wait their
-  turn.  Continuations only demote to real queued events under the
-  naive ablation loop or past the park-list bound, so the protocol is
-  observably transparent: exact ``(time, seq)`` order either way.
+  every hop a CPU schedules for itself (dispatch, kernel-``Delay``
+  resumes, user-delay chunk boundaries, exec, frame completion, signal
+  delivery, the empty-queue yield poll) parks a ``(time, seq, fn,
+  token)`` quadruple in a tiny sorted list on the engine — one
+  outstanding hop per CPU — instead of materializing a heap event.
+  Whenever the earliest parked continuation is due *strictly earlier*
+  than every queued event (ties broken by the ``seq`` reserved at park
+  time) the drain loop advances the clock and fires it directly — zero
+  Event allocation, zero queue traffic; when a queued event is due
+  first the parked hops wait their turn.  Continuations only demote to
+  real queued events under the naive ablation loop or past the
+  park-list bound, so the protocol is observably transparent: exact
+  ``(time, seq)`` order either way.
 
 ``loop="naive"`` (env ``REPRO_ENGINE_LOOP``) falls back to the seed's
 one-event-at-a-time loop with the inline slot disabled (continuations
@@ -234,28 +236,29 @@ class Engine:
     ) -> None:
         """Park ``fn(token)`` as an inline continuation.
 
-        The trampoline-eliding dispatch protocol for steady-state
-        interpreter hops: instead of materializing an Event and paying
-        the queue round-trip, the continuation waits in a small sorted
-        park list carrying the ``(time, seq)`` pair it *would* have
-        sorted under — ``seq`` is reserved here, so every event
-        scheduled later sorts after it exactly as if it were queued.
-        The fast drain loop fires the earliest parked continuation
-        directly — advancing the clock, allocating nothing — whenever
-        its due time is **strictly earlier** than the queue minimum (a
-        strictly earlier time precedes any queued ``(time, seq)`` pair
-        regardless of seq); on a tie the reserved seqs decide, again
-        exactly heap order.  When a queued event is due first the
-        parked hops simply wait while the queue drains to them.
-        Either way the observable schedule is identical to
+        The trampoline-eliding protocol for the CPU's own hops —
+        dispatch and every interpreter hop (see :mod:`repro.sim.cpu`),
+        none of which is ever cancelled: instead of materializing an
+        Event and paying the queue round-trip, the continuation waits
+        in a small sorted park list carrying the ``(time, seq)`` pair
+        it *would* have sorted under — ``seq`` is reserved here, so
+        every event scheduled later sorts after it exactly as if it
+        were queued.  The fast drain loop fires the earliest parked
+        continuation directly — advancing the clock, allocating
+        nothing — whenever its due time is **strictly earlier** than
+        the queue minimum (a strictly earlier time precedes any queued
+        ``(time, seq)`` pair regardless of seq); on a tie the reserved
+        seqs decide, again exactly heap order.  When a queued event is
+        due first the parked hops simply wait while the queue drains
+        to them.  Either way the observable schedule is identical to
         :meth:`schedule_call` — the determinism suite diffs the two.
 
         Inline continuations cannot be cancelled (no Event exists to
-        cancel), so this returns ``None``; use :meth:`schedule_call`
-        for anything that needs a handle.  Under the naive ablation
-        loop (and past the park-list safety bound) the continuation
-        materializes immediately as a real event, counted as an
-        ``inline_fallback``.
+        cancel), so this returns ``None``; alarms, disk completions
+        and anything else that needs a handle use :meth:`schedule` or
+        :meth:`schedule_call`.  Under the naive ablation loop (and
+        past the park-list safety bound) the continuation materializes
+        immediately as a real event, counted as an ``inline_fallback``.
         """
         if cycles < 0:
             raise SimulationError(

@@ -8,17 +8,21 @@ one — reproducibly, from nothing but the seed its report prints.
 
 import json
 
+import pytest
 
+from repro import PR_SALL
 from repro.check import __main__ as check_cli
 from repro.check.explore import explore, run_once
 from repro.check.invariants import (
     check_fd_refcounts,
     check_pregion_index,
     check_pregion_tlb,
+    check_runqueue_consistency,
     check_shaddr_refcounts,
     run_invariants,
 )
 from repro.check.scenarios import DEFAULT_SCENARIOS, SCENARIOS, Scenario
+from repro.kernel.proc import ProcState
 from repro.mem.frames import PAGE_SIZE
 from repro.mem.pregion import Growth
 from repro.system import System
@@ -98,6 +102,86 @@ def test_fd_refcount_leak_detected():
     assert findings and "refcount" in findings[0]
     file.release()
     assert check_fd_refcounts(sim) == []
+
+
+def _partial_yield_storm(scheduler="percpu"):
+    """Compute/yield members frozen mid-flight with work queued."""
+
+    def member(api, arg):
+        for _ in range(4):
+            yield from api.compute(5_000)
+            yield from api.yield_cpu()
+        return 0
+
+    def main(api, arg):
+        for _ in range(6):
+            yield from api.sproc(member, PR_SALL)
+        for _ in range(6):
+            yield from api.wait()
+        return 0
+
+    sim = System(ncpus=2, scheduler=scheduler)
+    sim.spawn(main)
+    sim.run(max_events=60, check_deadlock=False)
+    assert sim.kernel.sched.runnable_count >= 2
+    assert check_runqueue_consistency(sim) == []
+    return sim
+
+
+def _queued_head(sched):
+    """A per-CPU queue with a waiting proc, and that proc."""
+    queue = next(queue for queue in sched._queues if len(queue))
+    return queue, queue._heap[0][2]
+
+
+def _kill_head_in_place(sched):
+    # the head marked dead but left in the entry map: a remove that
+    # skipped its bookkeeping
+    queue, _proc = _queued_head(sched)
+    queue._heap[0][3] = False
+
+
+def _queue_twice(sched):
+    queue, proc = _queued_head(sched)
+    other = sched._queues[1 - queue.idx]
+    other.push(proc, 10**9)
+
+
+def _queued_but_sleeping(sched):
+    _queue, proc = _queued_head(sched)
+    proc.state = ProcState.SLEEPING
+
+
+def _runnable_but_unqueued(sched):
+    queue, proc = _queued_head(sched)
+    queue.remove(proc)
+    del sched._where[proc.pid]
+
+
+def _busy_cpu_on_idle_list(sched):
+    cpu = next(cpu for cpu in sched.machine.cpus if cpu.current is not None)
+    sched._idle.append(cpu)
+
+
+def _global_queue_twice(sched):
+    sched._queue.append(sched._queue[0])
+
+
+@pytest.mark.parametrize("scheduler, corrupt, expect", [
+    ("percpu", _kill_head_in_place, "dead entry"),
+    ("percpu", _queue_twice, "queued 2 times"),
+    ("percpu", _queued_but_sleeping, "is sleeping but queued"),
+    ("percpu", _runnable_but_unqueued, "on no run queue"),
+    ("percpu", _busy_cpu_on_idle_list, "idle list"),
+    ("global", _global_queue_twice, "queued 2 times"),
+    ("global", _busy_cpu_on_idle_list, "idle list"),
+])
+def test_runqueue_corruption_detected(scheduler, corrupt, expect):
+    sim = _partial_yield_storm(scheduler)
+    corrupt(sim.kernel.sched)
+    findings = check_runqueue_consistency(sim)
+    assert any(expect in finding for finding in findings), findings
+    assert any("runqueue-consistency" in f for f in run_invariants(sim))
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,9 @@ import json
 
 import pytest
 
-from repro import PR_SALL, System
+from repro import PR_SALL, PR_SETGANG, System
 from repro.errors import SimulationError
+from repro.share.prctl import PR_SETGROUPPRI
 from repro.sim.engine import (
     _INLINE_PARK_MAX,
     ENGINE_LOOP_MODES,
@@ -324,10 +325,45 @@ def _main(api, ctx):
     return 0
 
 
-def _fingerprint(loop, seed):
+def _yielder(api, rounds):
+    for step in range(rounds):
+        yield from api.compute(3_000 + 1_000 * (step % 4))
+        yield from api.yield_cpu()
+    return 0
+
+
+def _yield_group(api, ctx):
+    """A share group of compute/yield members; optionally gang-scheduled
+    or boosted with PR_SETGROUPPRI once its members are queued."""
+    members, gang, boost = ctx
+    yield from api.sproc(_yielder, PR_SALL, 6)
+    if gang:
+        yield from api.prctl(PR_SETGANG, 1)
+    for _ in range(members - 1):
+        yield from api.sproc(_yielder, PR_SALL, 6)
+    if boost:
+        yield from api.prctl(PR_SETGROUPPRI, 10)
+    for _ in range(members):
+        yield from api.wait()
+    return 0
+
+
+def _yield_storm(api, ctx):
+    """Groups x members of compute/yield traffic: every hop is dispatch,
+    requeue or a user-delay chunk, the scheduler's round trip."""
+    groups = [(3, False, False), (3, False, False), (2, True, False),
+              (3, False, True)]
+    for group in groups:
+        yield from api.fork(_yield_group, group)
+    for _ in groups:
+        yield from api.wait()
+    return 0
+
+
+def _fingerprint(loop, seed, main=_main):
     sim = System(ncpus=3, perturb_seed=seed, engine_loop=loop)
     tracer = Tracer.attach(sim.kernel, capacity=100_000)
-    sim.spawn(_main, {})
+    sim.spawn(main, {})
     sim.run()
     blob = json.dumps(sim.kstat.snapshot(), sort_keys=True) + json.dumps(
         tracer.to_chrome_trace(), sort_keys=True, default=str
@@ -341,3 +377,57 @@ def test_fast_and_naive_loops_are_cycle_identical(seed):
     assert set(ENGINE_LOOP_MODES) == {"fast", "naive"}
     prints = {loop: _fingerprint(loop, seed) for loop in ENGINE_LOOP_MODES}
     assert len(set(prints.values())) == 1, prints
+
+
+@pytest.mark.parametrize("seed", [None, 0, 3])
+def test_yield_storm_fast_and_naive_loops_are_cycle_identical(seed):
+    """The scheduler's round trip — dispatch, requeue, gang co-dispatch,
+    a PR_SETGROUPPRI re-key — fingerprints the same on both loops."""
+    prints = {
+        loop: _fingerprint(loop, seed, _yield_storm) for loop in ENGINE_LOOP_MODES
+    }
+    assert len(set(prints.values())) == 1, prints
+
+
+# ----------------------------------------------------------------------
+# every CPU hop, dispatch included, rides the inline park
+
+
+def test_compute_yield_program_queues_no_event():
+    """On the fast loop a compute/yield program never touches the heap:
+    dispatch, resumes, chunk boundaries, the yield round trip and the
+    gang/priority prctls are all parked hops."""
+    sim = System(ncpus=3, engine_loop="fast")
+    sim.spawn(_yield_storm, {})
+    sim.run()
+    engine = sim.engine
+    assert engine.events_processed > 300
+    assert engine.events_processed == engine.inline_hops
+    assert engine.inline_fallbacks == 0
+    assert sim.kernel.sched.picks > 0
+
+
+def test_empty_queue_yield_poll_is_a_parked_hop():
+    """A lone yielder spins on the CPU (nobody to yield to): the poll
+    hop is parked like every other."""
+    sim = System(ncpus=2, engine_loop="fast")
+    sim.spawn(_yielder, 5)
+    sim.run()
+    assert sim.engine.events_processed == sim.engine.inline_hops
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_at_most_one_parked_hop_per_cpu(seed):
+    ncpus = 3
+    sim = System(ncpus=ncpus, perturb_seed=seed, engine_loop="fast")
+    sim.spawn(_yield_storm, {})
+    engine = sim.engine
+    steps = 0
+    while engine.step():
+        steps += 1
+        assert len(engine._parked) <= ncpus
+        # at most one hop per CPU: no callback owner appears twice
+        owners = [item[2].__self__ for item in engine._parked]
+        assert len(owners) == len(set(map(id, owners)))
+    assert steps == engine.events_processed
+    assert engine.idle()

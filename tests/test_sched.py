@@ -4,7 +4,9 @@ quantum slicing, priorities, gang mode, per-CPU queues."""
 import pytest
 
 from repro import PR_SALL, PR_SETGANG, System
+from repro.check.invariants import check_runqueue_consistency
 from repro.kernel.proc import Proc, ProcState
+from repro.kernel.sched import RunQueue
 from tests.conftest import run_program
 
 
@@ -399,6 +401,14 @@ def test_reprioritize_rekeys_a_queued_proc():
     b.pri = 5
     sched.reprioritize(b)
     assert sched._select() is b  # new key took effect in the heap
+    # re-keying the head pops its entry physically; the first re-key's
+    # buried pri-20 entry stays dead in place until it surfaces
+    b.pri = 30
+    sched.reprioritize(b)
+    assert sched._select() is a
+    heap = sched._queues[0]._heap
+    assert sorted((e[0], e[3]) for e in heap if e[2] is b) == [(20, False), (30, True)]
+    assert check_runqueue_consistency(sim) == []
 
 
 def test_setgrouppri_reorders_queued_members():
@@ -495,3 +505,151 @@ def test_runq_depth_gauge_tracks_queue_and_drains_to_zero():
 def test_unknown_scheduler_name_is_rejected():
     with pytest.raises(ValueError):
         System(ncpus=1, scheduler="nope")
+
+
+# ----------------------------------------------------------------------
+# RunQueue heap mechanics: the head is popped physically, a buried entry
+# is only marked dead and pruned once it surfaces
+
+
+def _queue_of(*pris):
+    """A RunQueue holding one stub proc per priority, pids 1..n in order."""
+    queue = RunQueue(0)
+    procs = [_make_stub_proc(pid, pri) for pid, pri in enumerate(pris, start=1)]
+    for seq, proc in enumerate(procs, start=1):
+        queue.push(proc, seq)
+    return queue, procs
+
+
+def _drain_heads(queue):
+    """Pids in dispatch order: remove the head until the queue is empty."""
+    order = []
+    while queue._heap:
+        head = queue._heap[0]
+        assert head[3], "the heap head must always be live"
+        queue.remove(head[2])
+        order.append(head[2].pid)
+    return order
+
+
+def test_runqueue_remove_of_the_head_shrinks_the_heap_at_once():
+    queue, procs = _queue_of(20, 20, 10)
+    assert queue._heap[0][2] is procs[2]
+    assert queue.remove(procs[2])
+    assert len(queue._heap) == 2  # popped, not merely marked
+    assert len(queue) == 2
+    assert queue._heap[0][2] is procs[0]
+
+
+def test_runqueue_buried_remove_is_pruned_when_it_surfaces():
+    queue, procs = _queue_of(20, 20, 20)
+    assert queue.remove(procs[1])  # buried: marked dead, left in place
+    assert len(queue._heap) == 3
+    assert len(queue) == 2
+    assert queue.remove(procs[0])  # the head pop prunes the dead entry below
+    assert [entry[2] for entry in queue._heap] == [procs[2]]
+    assert not queue.remove(procs[1])  # already gone
+
+
+@pytest.mark.parametrize("removed", [(), (2,), (4,), (2, 4), (1, 5, 6)])
+def test_runqueue_dispatch_order_unchanged_by_removals(removed):
+    pris = (20, 10, 20, 5, 10, 20)
+    queue, procs = _queue_of(*pris)
+    for pid in removed:
+        assert queue.remove(procs[pid - 1])
+    expected = [
+        pid for pid, _pri in sorted(
+            enumerate(pris, start=1), key=lambda item: (item[1], item[0])
+        )
+        if pid not in removed
+    ]
+    assert _drain_heads(queue) == expected
+    assert len(queue) == 0
+
+
+# ----------------------------------------------------------------------
+# the dispatch decisions themselves are pinned: an E15-shaped storm
+# (6 groups x 4 members x 10 compute/yield rounds on 4 CPUs) must take
+# exactly these decisions, examining exactly these queue entries
+
+
+def _e15_member(api, arg):
+    for _ in range(10):
+        yield from api.compute(8_000)
+        yield from api.yield_cpu()
+    return 0
+
+
+def _e15_leader(api, arg):
+    for _ in range(4):
+        yield from api.sproc(_e15_member, PR_SALL)
+    for _ in range(4):
+        yield from api.wait()
+    return 0
+
+
+def _e15_main(api, arg):
+    for _ in range(6):
+        yield from api.fork(_e15_leader)
+    for _ in range(6):
+        yield from api.wait()
+    return 0
+
+
+@pytest.mark.parametrize("kind, seed, features, expect", [
+    ("percpu", None, None, (600_393, 292, 1453, 4, 239, 15)),
+    ("percpu", 0, ("wakeup", "select"), (601_246, 293, 1457, 5, 239, 15)),
+    ("percpu", 3, None, (600_658, 292, 1455, 7, 34, 218)),
+    ("global", None, None, (599_871, 286, 5325, 0, 0, 0)),
+])
+def test_e15_shaped_run_pins_scheduler_decisions(kind, seed, features, expect):
+    sim = System(ncpus=4, scheduler=kind, perturb_seed=seed,
+                 perturb_features=features)
+    sim.spawn(_e15_main)
+    cycles = sim.run()
+    sched = sim.kernel.sched
+    assert (cycles, sched.picks, sched.scan_steps, sched.steals,
+            sched.affinity_hits, sched.migrations) == expect
+
+
+@pytest.mark.parametrize("kind", ["percpu", "global"])
+def test_gang_dispatch_keeps_run_queues_consistent(kind):
+    """Gang co-dispatch removes companions from wherever they wait —
+    often below a queue head — while hogs compete for the CPUs."""
+
+    def member(api, arg):
+        for _ in range(3):
+            yield from api.compute(20_000)
+            yield from api.yield_cpu()
+        return 0
+
+    def gang_leader(api, arg):
+        yield from api.sproc(member, PR_SALL)
+        yield from api.prctl(PR_SETGANG, 1)
+        for _ in range(2):
+            yield from api.sproc(member, PR_SALL)
+        yield from member(api, arg)
+        for _ in range(3):
+            yield from api.wait()
+        return 0
+
+    def hog(api, arg):
+        yield from api.compute(150_000)
+        return 0
+
+    def main(api, arg):
+        for _ in range(3):
+            yield from api.fork(hog)
+        yield from api.fork(gang_leader)
+        for _ in range(4):
+            yield from api.wait()
+        return 0
+
+    sim = System(ncpus=4, scheduler=kind)
+    sim.spawn(main)
+    while not sim.engine.idle():
+        sim.run(max_events=5, check_deadlock=False)
+        assert check_runqueue_consistency(sim) == []
+    sched = sim.kernel.sched
+    assert sched.gang_dispatches > 0
+    assert sched.runnable_count == 0
