@@ -18,7 +18,9 @@ Two gating modes:
   fails the job, as before.
 
 Every metric present in both files is reported in the delta table;
-only ``--metric`` on the ``--gate`` row decides pass/fail.
+only ``--metric`` on the ``--gate`` row decides pass/fail.  The
+metrics gated here are deterministic for a seed, so the runner does not
+matter; host speed is gated on one runner by ``benchmarks/host_ab.py``.
 
     python benchmarks/compare_bench.py \
         --previous prev-bench/BENCH_E15.json \
@@ -31,18 +33,6 @@ only ``--metric`` on the ``--gate`` row decides pass/fail.
         --current bench-artifacts/BENCH_E16.json \
         --key vm_index --gate indexed \
         --metric scan_per_fault --threshold 0.25
-
-``--host`` compares two BENCH_HOST.json files on
-``sim_cycles_per_host_sec`` instead (direction: higher is better) and,
-when either side carries inline-continuation counters
-(``inline_hops``/``inline_fallbacks``), reports the hit-rate telemetry
-next to the headline rate.  The default threshold (0.35) tolerates
-shared-runner noise but not a real regression of the direct-run
-dispatch work:
-
-    python benchmarks/compare_bench.py --host \
-        --previous prev-bench/BENCH_HOST.json \
-        --current bench-artifacts/BENCH_HOST.json
 """
 
 from __future__ import annotations
@@ -150,50 +140,6 @@ def _gate_threshold(gate, metric, before, after, threshold, direction) -> int:
     return 1 if worse else 0
 
 
-def _inline_line(label, summary):
-    """One side's inline-continuation telemetry, or None if absent."""
-    counters = summary.get("counters", {})
-    hops = counters.get("inline_hops", 0)
-    fallbacks = counters.get("inline_fallbacks", 0)
-    if not hops and not fallbacks:
-        return None
-    events = summary.get("events", 0)
-    rate = 100.0 * hops / events if events else 0.0
-    return "  %-9s %s hops, %s fallbacks, %.1f%% of %s events inline" % (
-        label, "{:,}".format(hops), "{:,}".format(fallbacks), rate,
-        "{:,}".format(events),
-    )
-
-
-def _compare_host(args) -> int:
-    with open(args.previous) as handle:
-        prev = json.load(handle)
-    with open(args.current) as handle:
-        cur = json.load(handle)
-    before = prev.get("sim_cycles_per_host_sec")
-    after = cur.get("sim_cycles_per_host_sec")
-    if not isinstance(before, (int, float)) or not isinstance(after, (int, float)):
-        print("sim_cycles_per_host_sec missing on one side - passing")
-        return 0
-    print(
-        "host speed: %.0f -> %.0f sim cycles/host-sec "
-        "(%.3f -> %.3f host-s inside Engine.run)"
-        % (before, after,
-           prev.get("wall_seconds", 0.0), cur.get("wall_seconds", 0.0))
-    )
-    inline = [
-        line
-        for line in (_inline_line("baseline", prev), _inline_line("candidate", cur))
-        if line is not None
-    ]
-    if inline:
-        print("inline dispatch:")
-        for line in inline:
-            print(line)
-    return _gate_threshold("host", "sim_cycles_per_host_sec",
-                           before, after, args.threshold, "higher")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--previous", required=True, help="baseline JSON path")
@@ -205,18 +151,9 @@ def main(argv=None) -> int:
     parser.add_argument("--direction", choices=("lower", "higher"),
                         default="lower",
                         help="which way is better for --metric")
-    parser.add_argument("--threshold", type=float, default=None,
-                        help="allowed relative change when no CIs "
-                             "(default 0.25; 0.35 with --host)")
-    parser.add_argument("--host", action="store_true",
-                        help="compare two BENCH_HOST.json files on "
-                             "sim_cycles_per_host_sec (higher is better)")
+    parser.add_argument("--threshold", type=float, default=0.25,
+                        help="allowed relative change when no CIs")
     args = parser.parse_args(argv)
-    # --host re-baselined after the direct-run dispatch work: the rate
-    # is high enough now that 0.35 clears runner noise while catching a
-    # real fast-path regression (0.5 let half the win evaporate silently)
-    if args.threshold is None:
-        args.threshold = 0.35 if args.host else 0.25
 
     if not os.path.exists(args.current):
         print("candidate result %s missing" % args.current, file=sys.stderr)
@@ -224,9 +161,6 @@ def main(argv=None) -> int:
     if not os.path.exists(args.previous):
         print("no baseline at %s - nothing to compare, passing" % args.previous)
         return 0
-
-    if args.host:
-        return _compare_host(args)
 
     prev_data, prev_rows = _load_rows(args.previous, args.key)
     cur_data, cur_rows = _load_rows(args.current, args.key)

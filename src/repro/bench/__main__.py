@@ -16,10 +16,10 @@ BENCH json, gated on CI overlap by benchmarks/compare_bench.py), and
 requires the paper claims to hold under *every* seed, not just the
 default schedule.  ``--profile`` samples the host profiler
 (:mod:`repro.obs.profile`) and writes the per-layer host-time table plus
-``sim_cycles_per_host_sec`` to BENCH_HOST.json.  ``--trend PATH``
-appends this run's summary to a BENCH_TREND.json so the perf trajectory
-accumulates across PRs; with ``--profile`` each entry carries that
-experiment's own host numbers, its seed sweep included.
+``sim_cycles_per_host_sec`` to BENCH_HOST.json, every run and seed-sweep
+shard counted once.  That file is observability, not a gate: host speed
+is gated by ``benchmarks/host_ab.py``, which runs the base commit and
+this checkout side by side on one machine.
 """
 
 from __future__ import annotations
@@ -69,9 +69,6 @@ def main(argv) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="sample the host profiler; write "
                              "BENCH_HOST.json")
-    parser.add_argument("--trend", metavar="PATH",
-                        help="append results to the BENCH_TREND.json "
-                             "at PATH")
     parser.add_argument("--scale", choices=("full", "quick"), default=None,
                         help="workload scale for experiments that take "
                              "one (E17): full for nightly/acceptance "
@@ -108,34 +105,22 @@ def main(argv) -> int:
             if (args.scale is not None
                     and "scale" in inspect.signature(func).parameters):
                 kwargs["scale"] = args.scale
-            # one nested session per experiment: its trend entry gets
-            # this experiment's numbers, the outer one the whole run's
-            with profiling(args.profile) as experiment:
-                result = func(**kwargs)
-                sweep = None
-                if args.seeds > 0:
-                    from repro.bench.stats import run_sweep
+            result = func(**kwargs)
+            if args.seeds > 0:
+                from repro.bench.stats import run_sweep
 
-                    sweep = run_sweep(
-                        eid, nseeds=args.seeds, jobs=args.jobs,
-                        profiled=args.profile, **kwargs,
-                    )
-                    result.stats = sweep.stats()
-                    if experiment is not None:
-                        experiment.absorb(sweep.host_summary())
-            host = experiment.summary() if experiment is not None else None
-            if session is not None:
-                session.absorb(host)
-            if sweep is not None:
+                sweep = run_sweep(
+                    eid, nseeds=args.seeds, jobs=args.jobs,
+                    profiled=args.profile, **kwargs,
+                )
+                result.stats = sweep.stats()
+                if session is not None:
+                    session.absorb(sweep.host_summary())
                 print(sweep.render())
                 failures += len(sweep.failed_claims)
             result.save()
             result.save_json()
             failures += sum(1 for claim in result.claims if not claim.holds)
-            if args.trend:
-                from repro.bench.stats import append_trend, trend_entry
-
-                append_trend(args.trend, trend_entry(eid, sweep, host))
 
     if session is not None:
         path = _write_host_json(session.summary())

@@ -1,4 +1,4 @@
-"""Statistical claims harness: N-seed sweeps, bootstrap CIs, trend files.
+"""Statistical claims harness: N-seed sweeps and bootstrap CIs.
 
 A single seeded run is a point estimate; the paper-reproduction claims
 deserve error bars.  This module runs any E-benchmark over ``N``
@@ -7,9 +7,8 @@ collects every numeric metric each run reports, and attaches a
 *nonparametric bootstrap confidence interval* (percentile method, seeded
 resampler — no distributional assumptions) to each one.  Downstream,
 ``benchmarks/compare_bench.py`` gates regressions on **CI overlap**
-instead of a raw percentage threshold, and ``append_trend`` keeps a
-per-PR ``BENCH_TREND.json`` so the perf trajectory is a queryable
-artifact rather than archaeology through CI logs.
+instead of a raw percentage threshold, and ``benchmarks/host_ab.py``
+puts the same bootstrap over its paired head/base host-speed ratios.
 
 Determinism: seed ``s`` always produces the same run (the engine's
 perturbation RNG is seeded), and the bootstrap resampler is its own
@@ -19,11 +18,9 @@ command line that ran it.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import random
-import time
 from inspect import signature
 from typing import Dict, List, Optional, Sequence
 
@@ -270,69 +267,3 @@ def run_sweep(
         with multiprocessing.Pool(jobs) as pool:
             sweep.runs = pool.map(_sweep_worker, payload)
     return sweep
-
-
-# ----------------------------------------------------------------------
-# the trend file
-
-
-def append_trend(path: str, entry: dict) -> dict:
-    """Append ``entry`` to the BENCH_TREND.json at ``path``.
-
-    The file is ``{"entries": [...]}`` — one entry per (PR, experiment)
-    — so plotting the perf trajectory is a one-liner and a regression's
-    onset is a lookup, not a bisect.  Corrupt or legacy files start
-    fresh rather than poisoning the artifact chain.
-    """
-    doc = {"entries": []}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                loaded = json.load(handle)
-            if isinstance(loaded, dict) and isinstance(
-                loaded.get("entries"), list
-            ):
-                doc = loaded
-        except (OSError, ValueError):
-            pass
-    doc["entries"].append(entry)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return doc
-
-
-def trend_entry(
-    eid: str,
-    sweep: Optional[SweepResult] = None,
-    host: Optional[dict] = None,
-) -> dict:
-    """One BENCH_TREND entry: identity, CI'd metrics, host speed."""
-    entry = {
-        "experiment": eid.upper(),
-        "time": int(time.time()),
-        "sha": os.environ.get("GITHUB_SHA"),
-    }
-    if sweep is not None:
-        entry["seeds"] = len(sweep.seeds)
-        entry["metrics"] = {
-            row: {
-                metric: {
-                    "mean": stat["mean"],
-                    "ci_lo": stat["ci_lo"],
-                    "ci_hi": stat["ci_hi"],
-                    "n": stat["n"],
-                }
-                for metric, stat in metrics.items()
-            }
-            for row, metrics in sweep.stats().items()
-        }
-    if host is not None:
-        entry["host"] = {
-            "sim_cycles_per_host_sec": host.get("sim_cycles_per_host_sec"),
-            "wall_seconds": host.get("wall_seconds"),
-            "sim_cycles": host.get("sim_cycles"),
-        }
-    return entry

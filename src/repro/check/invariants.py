@@ -29,6 +29,10 @@ The three relationships, straight from the paper:
   runnable process waits on exactly one run queue and nothing else
   does, each per-CPU heap holds exactly its entry map's entries (plus
   dead ones below a live head), and an idle CPU runs nothing.
+* **semaphore waiters** (the paper's ``sema_t``): a process sleeping on
+  a semaphore is on that semaphore's wait queue, and a semaphore with
+  waiters has no unit to hand out — ``v()`` gives a unit straight to a
+  waiter instead of counting it.
 """
 
 from __future__ import annotations
@@ -332,6 +336,31 @@ def check_runqueue_consistency(sim) -> List[str]:
 
 
 # ----------------------------------------------------------------------
+# semaphores vs their sleepers
+
+def check_semaphore_waiters(sim) -> List[str]:
+    """Every semaphore sleeper is queued on it, and holds no unit back."""
+    findings = []
+    seen = set()
+    for proc in _live_procs(sim):
+        sema = proc.sleeping_on
+        if sema is None:
+            continue
+        if proc not in sema._waiters:
+            findings.append(
+                "pid %d sleeps on %s but is not on its waiters" % (proc.pid, sema.name)
+            )
+        if id(sema) not in seen:
+            seen.add(id(sema))
+            if sema._value > 0 and sema._waiters:
+                findings.append(
+                    "%s has value %d and %d waiters"
+                    % (sema.name, sema._value, len(sema._waiters))
+                )
+    return findings
+
+
+# ----------------------------------------------------------------------
 
 #: name -> checker, the order reports list them in
 CHECKERS = {
@@ -342,6 +371,7 @@ CHECKERS = {
     "fd-refcounts": check_fd_refcounts,
     "shmask-consistency": check_shmask_consistency,
     "runqueue-consistency": check_runqueue_consistency,
+    "semaphore-waiters": check_semaphore_waiters,
 }
 
 

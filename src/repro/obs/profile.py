@@ -18,11 +18,11 @@ events and inline-continuation hops/fallbacks to the active session.
 The headline ``sim_cycles_per_host_sec`` divides the two.
 
 Sessions nest.  ``--profile`` on ``repro.bench`` and ``repro.check``
-opens one, the bench CLI opens one more per experiment, and every sweep
-shard opens its own.  Ticks and runs go to the innermost open session
-only; an enclosing session takes an inner one's numbers with
-:meth:`ProfileSession.absorb`, exactly as it takes the summaries that
-``multiprocessing`` shards ship back, so nothing is counted twice.
+opens one, and every seed-sweep shard opens its own.  Ticks and runs go
+to the innermost open session only; an enclosing session takes an inner
+one's numbers with :meth:`ProfileSession.absorb`, exactly as it takes
+the summaries that ``multiprocessing`` shards ship back, so nothing is
+counted twice.
 """
 
 from __future__ import annotations

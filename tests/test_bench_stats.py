@@ -3,17 +3,16 @@
 import importlib.util
 import json
 import os
+import random
 
 import pytest
 
 from repro.bench.harness import ExperimentResult
 from repro.bench.stats import (
-    append_trend,
     bootstrap_ci,
     extract_metrics,
     run_sweep,
     summarize,
-    trend_entry,
 )
 
 
@@ -129,45 +128,13 @@ def test_in_process_sweep_keeps_the_enclosing_session():
 
 
 # ----------------------------------------------------------------------
-# the trend file
-
-
-def test_append_trend_accumulates_entries(tmp_path):
-    path = str(tmp_path / "BENCH_TREND.json")
-    append_trend(path, {"experiment": "E15", "seeds": 3})
-    doc = append_trend(path, {"experiment": "E16", "seeds": 3})
-    assert [e["experiment"] for e in doc["entries"]] == ["E15", "E16"]
-    with open(path) as handle:
-        assert len(json.load(handle)["entries"]) == 2
-
-
-def test_append_trend_survives_corrupt_file(tmp_path):
-    path = str(tmp_path / "BENCH_TREND.json")
-    with open(path, "w") as handle:
-        handle.write("not json {")
-    doc = append_trend(path, {"experiment": "E15"})
-    assert len(doc["entries"]) == 1
-
-
-def test_trend_entry_shapes_metrics_and_host():
-    sweep = run_sweep("e15", nseeds=1, jobs=1, rounds=4)
-    entry = trend_entry("e15", sweep, host={"sim_cycles_per_host_sec": 5.0,
-                                            "wall_seconds": 2.0,
-                                            "sim_cycles": 10})
-    assert entry["experiment"] == "E15"
-    assert entry["seeds"] == 1
-    assert "mean" in entry["metrics"]["percpu"]["makespan_cycles"]
-    assert entry["host"]["sim_cycles_per_host_sec"] == 5.0
-
-
-# ----------------------------------------------------------------------
 # the CI-overlap gate in benchmarks/compare_bench.py
 
 
-def _load_compare_bench():
+def _load_script(name):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.path.join(root, "benchmarks", "compare_bench.py")
-    spec = importlib.util.spec_from_file_location("compare_bench", path)
+    path = os.path.join(root, "benchmarks", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -206,7 +173,7 @@ def _bench_json(tmp_path, name, value, ci, with_stats=True):
 )
 def test_compare_bench_gates_on_ci_overlap(tmp_path, base_ci, cand_ci,
                                            cand, expected, capsys):
-    compare_bench = _load_compare_bench()
+    compare_bench = _load_script("compare_bench")
     prev = _bench_json(tmp_path, "prev.json", sum(base_ci) / 2, base_ci)
     cur = _bench_json(tmp_path, "cur.json", cand, cand_ci)
     code = compare_bench.main([
@@ -223,7 +190,7 @@ def test_compare_bench_gates_on_ci_overlap(tmp_path, base_ci, cand_ci,
 
 
 def test_compare_bench_falls_back_to_threshold_without_stats(tmp_path, capsys):
-    compare_bench = _load_compare_bench()
+    compare_bench = _load_script("compare_bench")
     prev = _bench_json(tmp_path, "prev.json", 4.0, (0, 0), with_stats=False)
     cur = _bench_json(tmp_path, "cur.json", 5.5, (0, 0), with_stats=False)
     code = compare_bench.main([
@@ -236,26 +203,92 @@ def test_compare_bench_falls_back_to_threshold_without_stats(tmp_path, capsys):
     assert "threshold" in out
 
 
-def test_compare_bench_host_mode_gates_on_rate(tmp_path, capsys):
-    compare_bench = _load_compare_bench()
+# ----------------------------------------------------------------------
+# the same-runner host A/B gate in benchmarks/host_ab.py
 
-    def host_json(name, rate):
-        path = str(tmp_path / name)
-        with open(path, "w") as handle:
-            json.dump({"sim_cycles_per_host_sec": rate,
-                       "wall_seconds": 1.0}, handle)
-        return path
 
-    ok = compare_bench.main([
-        "--host",
-        "--previous", host_json("p.json", 1_000_000.0),
-        "--current", host_json("c.json", 900_000.0),
-    ])
-    assert ok == 0  # within the generous runner-noise threshold
-    bad = compare_bench.main([
-        "--host",
-        "--previous", host_json("p2.json", 1_000_000.0),
-        "--current", host_json("c2.json", 400_000.0),
-    ])
-    assert bad == 1
-    assert "REGRESSION" in capsys.readouterr().out
+def _perfbench_result(ops, cycles, failed=0, correct=True, p99=5000.0):
+    """One parsed ``perfbench/run.py`` result line."""
+    return {
+        "correct": correct,
+        "attempted": 1000,
+        "failed": failed,
+        "metrics": {
+            "ops_per_host_s": {"value": ops, "unit": "ops/s"},
+            "sim_cycles_per_host_s": {"value": cycles, "unit": "cycles/s"},
+            "success_ratio": {"value": (1000 - failed) / 1000, "unit": "fraction"},
+            "sim_makespan_cycles": {"value": 1e6, "unit": "cycles"},
+            "sim_p99_cycles": {"value": p99, "unit": "cycles"},
+        },
+    }
+
+
+def _noisy_side(rng, scale, pairs):
+    """``pairs`` results at ``scale`` of a nominal speed, each off by up
+    to 3% either way."""
+    runs = []
+    for _ in range(pairs):
+        factor = scale * (1.0 + rng.uniform(-0.03, 0.03))
+        runs.append(_perfbench_result(2e4 * factor, 2e7 * factor))
+    return runs
+
+
+def test_host_ab_identical_samples_pass():
+    host_ab = _load_script("host_ab")
+    rng = random.Random(1)
+    runs = _noisy_side(rng, 1.0, host_ab.PAIRS)
+    lines, failures = host_ab.decide("server", runs, runs)
+    assert failures == []
+    assert not any("differs" in line for line in lines)
+    # the same code measured twice: independent noise on each side
+    for seed in range(10):
+        rng = random.Random(seed)
+        base = _noisy_side(rng, 1.0, host_ab.PAIRS)
+        head = _noisy_side(rng, 1.0, host_ab.PAIRS)
+        lines, failures = host_ab.decide("server", base, head)
+        assert failures == [], seed
+        # sim_cycles_per_host_s is a host rate, not a simulated quantity
+        assert not any("differs" in line for line in lines), lines
+
+
+def test_host_ab_ten_percent_slowdown_fails_on_the_ci():
+    host_ab = _load_script("host_ab")
+    for seed in range(10):
+        rng = random.Random(seed)
+        base = _noisy_side(rng, 1.0, host_ab.PAIRS)
+        head = _noisy_side(rng, 0.9, host_ab.PAIRS)
+        _lines, failures = host_ab.decide("sched-storm", base, head)
+        # both rates, on the CI rule, and not on the floor
+        assert len(failures) == 2, (seed, failures)
+        assert all("CI upper end" in failure for failure in failures)
+
+
+def test_host_ab_median_ratio_below_the_floor_fails():
+    host_ab = _load_script("host_ab")
+    base = [_perfbench_result(2e4, 2e7)] * host_ab.PAIRS
+    head = [_perfbench_result(1.2e4, 1.2e7)] * host_ab.PAIRS  # ratio 0.6
+    _lines, failures = host_ab.decide("server", base, head)
+    assert any("below the floor 0.65" in failure for failure in failures)
+
+
+@pytest.mark.parametrize("fields, expect", [
+    ({"failed": 3}, "failed share"),
+    ({"correct": False}, "correct: false"),
+])
+def test_host_ab_head_failures_fail(fields, expect):
+    host_ab = _load_script("host_ab")
+    base = [_perfbench_result(2e4, 2e7)] * host_ab.PAIRS
+    head = [_perfbench_result(2e4, 2e7, **fields)] * host_ab.PAIRS
+    _lines, failures = host_ab.decide("group-churn", base, head)
+    assert len(failures) == 1 and expect in failures[0], failures
+
+
+def test_host_ab_sim_difference_is_reported_not_failed():
+    host_ab = _load_script("host_ab")
+    base = [_perfbench_result(2e4, 2e7)] * host_ab.PAIRS
+    head = [_perfbench_result(2e4, 2e7, p99=5100.0)] * host_ab.PAIRS
+    lines, failures = host_ab.decide("server", base, head)
+    assert failures == []
+    moved = [line for line in lines if "differs" in line]
+    assert len(moved) == 1 and "sim_p99_cycles" in moved[0]
+    assert "5000.0" in moved[0] and "5100.0" in moved[0]

@@ -18,6 +18,7 @@ from repro.check.invariants import (
     check_pregion_index,
     check_pregion_tlb,
     check_runqueue_consistency,
+    check_semaphore_waiters,
     check_shaddr_refcounts,
     run_invariants,
 )
@@ -182,6 +183,49 @@ def test_runqueue_corruption_detected(scheduler, corrupt, expect):
     findings = check_runqueue_consistency(sim)
     assert any(expect in finding for finding in findings), findings
     assert any("runqueue-consistency" in f for f in run_invariants(sim))
+
+
+def _partial_waits():
+    """A parent frozen asleep in wait() while its members compute."""
+
+    def member(api, arg):
+        yield from api.compute(200_000)
+        return 0
+
+    def main(api, arg):
+        for _ in range(2):
+            yield from api.sproc(member, PR_SALL)
+        for _ in range(2):
+            yield from api.wait()
+        return 0
+
+    sim = System(ncpus=2)
+    sim.spawn(main)
+    sim.run(until=50_000, check_deadlock=False)
+    assert check_semaphore_waiters(sim) == []
+    return sim
+
+
+def _sleeper(sim):
+    return next(proc for proc in sim.kernel.proc_table.all_procs()
+                if proc.alive() and proc.sleeping_on is not None)
+
+
+def test_semaphore_waiter_corruption_detected():
+    sim = _partial_waits()
+    proc = _sleeper(sim)
+    sema = proc.sleeping_on
+    # a unit counted while a waiter sleeps: a v() that skipped the handoff
+    sema._value = 1
+    findings = check_semaphore_waiters(sim)
+    assert findings == ["%s has value 1 and 1 waiters" % sema.name]
+    assert any("semaphore-waiters" in f for f in run_invariants(sim))
+    sema._value = 0
+    # a sleeper no v() can reach: dropped from the queue, still asleep
+    sema._waiters.remove(proc)
+    findings = check_semaphore_waiters(sim)
+    assert findings == ["pid %d sleeps on %s but is not on its waiters"
+                        % (proc.pid, sema.name)]
 
 
 # ----------------------------------------------------------------------

@@ -281,15 +281,15 @@ def test_bench_cli_profile_writes_host_json(bench_main, tmp_path, capsys):
 
 
 def test_bench_cli_trend_entries_sum_to_host_total(bench_main, tmp_path):
-    trend = str(tmp_path / "BENCH_TREND.json")
-    assert bench_main("e1", "e2", "--profile", "--trend", trend) == 0
-    with open(tmp_path / "BENCH_HOST.json") as handle:
-        host = json.load(handle)
-    with open(trend) as handle:
-        entries = json.load(handle)["entries"]
-    per_experiment = [entry["host"]["sim_cycles"] for entry in entries]
-    assert len(per_experiment) == 2 and all(per_experiment)
-    assert sum(per_experiment) == host["sim_cycles"]
+    # each run is counted exactly once in the host totals across experiments
+    def sim_cycles(*eids):
+        assert bench_main(*eids, "--profile") == 0
+        with open(tmp_path / "BENCH_HOST.json") as handle:
+            return json.load(handle)["sim_cycles"]
+
+    per_experiment = [sim_cycles("e1"), sim_cycles("e2")]
+    assert all(per_experiment)
+    assert sim_cycles("e1", "e2") == sum(per_experiment)
 
 
 def test_check_cli_profile_prints_layer_table(capsys):
